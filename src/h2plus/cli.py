@@ -236,8 +236,13 @@ def cmd_spectrum(args) -> int:
 def cmd_rate(args) -> int:
     if args.power < 0 or args.waist <= 0 or args.linewidth <= 0 or args.qsq < 0:
         raise _UsageError("power/qsq must be >= 0 and waist/linewidth > 0")
+    if not math.isfinite(args.qsq):
+        raise _UsageError(f"qsq must be finite, got {args.qsq}")
     gamma_f = 2.0 * math.pi * args.linewidth
-    params = LaserParams(args.power, args.waist, gamma_f)
+    try:
+        params = LaserParams(args.power, args.waist, gamma_f)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     intensity = beam_axis_intensity(params)
     print(f"beam-axis intensity: {intensity:.4e} W/m^2")
     if args.transverse:

@@ -55,6 +55,9 @@ class LaserParams:
     gamma_f_rad_s: float
 
     def __post_init__(self):
+        for name in ("power_w", "waist_m", "gamma_f_rad_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.power_w < 0.0:
             raise ValueError(f"power must be non-negative, got {self.power_w}")
         if self.waist_m <= 0.0:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .angular import HalfInt
 
@@ -136,14 +135,6 @@ class HyperfineEigenstate:
     @property
     def is_pure(self) -> bool:
         return min(abs(self.c1), abs(self.c3)) < PURE_STATE_THRESHOLD
-
-    def coeff_for(self, f: HalfInt) -> float:
-        """Amplitude on the pure-F basis state; 0 for an F the level lacks."""
-        if f == F_HALF:
-            return self.c1
-        if f == F_THREE_HALF:
-            return self.c3 if self.level.nuclear_spin == 1 else 0.0
-        return 0.0
 
     def label(self) -> str:
         return f"(F~={self.f_tilde}, J={self.j})"
@@ -411,6 +402,10 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
         raise FitError(
             f"need all {expected_n} sublevels of L={L}, got {len(observed.states)}"
         )
+
+    # scipy is needed only here; importing it on first use keeps it off the
+    # import path of every other command.
+    from scipy.optimize import least_squares
 
     target = _observation_vector(observed)
 

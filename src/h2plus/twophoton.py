@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .angular import HalfInt, clebsch_gordan, minus_one_pow, wigner6j
-from .hyperfine import F_HALF, F_THREE_HALF, HyperfineEigenstate, RoVibLevel
+from .angular import HalfInt, _six_j, clebsch_gordan
+from .hyperfine import HyperfineEigenstate, RoVibLevel
 
 __all__ = [
     "PolarizationPair",
@@ -26,6 +26,8 @@ __all__ = [
     "SelectionRuleError",
     "SelectionVerdict",
     "tensor_coefficients",
+    "polarization_weights",
+    "averaged_from_reduced",
     "reduced_from_intermediate_sums",
     "hyperfine_reduced_q",
     "averaged_sq_matrix_element",
@@ -152,6 +154,12 @@ def tensor_coefficients(pair: PolarizationPair) -> TensorCoeffs:
     return TensorCoeffs(a2=tuple(a2), a00=a00, q_total=q)
 
 
+def polarization_weights(pair: PolarizationPair) -> tuple[float, float]:
+    """The two weights a pair can carry: (a00, a(2)_q) with q = q1+q2."""
+    coeffs = tensor_coefficients(pair)
+    return coeffs.a00, coeffs.a2_at(coeffs.q_total)
+
+
 def reduced_from_intermediate_sums(
     sums: IntermediateSums, lower: RoVibLevel, upper: RoVibLevel
 ) -> OrbitalReducedElements:
@@ -211,7 +219,7 @@ def hyperfine_reduced_q(
     Each channel carries C_F(g) * C_F(e) * (-1)^(J'+L+F+k) *
     sqrt((2J+1)(2J'+1)) * {L k L'; J' F J} * <vL||Q(k)||v'L'>.  Violated
     triangles vanish through the 6j symbol; states of different total
-    nuclear spin give exactly zero.
+    nuclear spin give exactly zero.  The channel sum runs on 2j integers.
     """
     if k not in (0, 2):
         raise ValueError(f"rank must be 0 or 2, got {k}")
@@ -222,19 +230,30 @@ def hyperfine_reduced_q(
     if orbital == 0.0:
         return 0.0
 
-    L, Lp = lower.level.L, upper.level.L
-    j, jp = lower.j, upper.j
-    f_values = (F_HALF, F_THREE_HALF) if lower.level.nuclear_spin == 1 else (F_HALF,)
+    tl, tlp, tk = 2 * lower.level.L, 2 * upper.level.L, 2 * k
+    tj, tjp = lower.j.twice, upper.j.twice
+    # (2F, C_F(g) * C_F(e)) per channel; F = 3/2 exists only for I = 1
+    channels = [(1, lower.c1 * upper.c1)]
+    if lower.level.nuclear_spin == 1:
+        channels.append((3, lower.c3 * upper.c3))
     total = 0.0
-    for f in f_values:
-        weight = lower.coeff_for(f) * upper.coeff_for(f)
+    for tf, weight in channels:
         if weight == 0.0:
             continue
-        six = wigner6j(L, k, Lp, jp, f, j)
+        six = _six_j(tl, tk, tlp, tjp, tf, tj)
         if six == 0.0:
             continue
-        total += weight * minus_one_pow(jp, L, f, k) * six
-    return total * math.sqrt((j.twice + 1.0) * (jp.twice + 1.0)) * orbital
+        phase = -1 if ((tjp + tl + tf + tk) // 2) % 2 else 1
+        total += weight * phase * six
+    return total * math.sqrt((tj + 1.0) * (tjp + 1.0)) * orbital
+
+
+def averaged_from_reduced(
+    a00: float, a2: float, reduced0: float, reduced2: float, twice_j: int
+) -> float:
+    """Sublevel-averaged squared element from the polarization weights and
+    the rank-0/2 reduced elements: (|a00 R0|^2 + |a2 R2|^2 / 5) / (2J+1)."""
+    return ((a00 * reduced0) ** 2 + (a2 * reduced2) ** 2 / 5) / (twice_j + 1.0)
 
 
 def averaged_sq_matrix_element(
@@ -247,18 +266,17 @@ def averaged_sq_matrix_element(
     of an unpolarized initial state, in atomic units:
 
         (1/(2J+1)) * sum_k |a(k)_q <gJ||Q(k)||eJ'>|^2 / (2k+1),  q = q1+q2.
+
+    Each call computes the pair's two weights and each reduced element
+    with a nonzero weight once.  Line lists go through
+    `spectrum.two_photon_spectrum`, which shares `averaged_from_reduced`
+    but computes the weights once per call and the reduced elements once
+    per line.
     """
-    coeffs = tensor_coefficients(pair)
-    q = coeffs.q_total
-    total = 0.0
-    for k, amplitude in ((0, coeffs.a00), (2, coeffs.a2_at(q))):
-        if amplitude == 0.0:
-            continue
-        reduced = hyperfine_reduced_q(k, lower, upper, orb)
-        if reduced == 0.0:
-            continue
-        total += (amplitude * reduced) ** 2 / (2 * k + 1)
-    return total / (lower.j.twice + 1.0)
+    a00, a2 = polarization_weights(pair)
+    reduced0 = hyperfine_reduced_q(0, lower, upper, orb) if a00 != 0.0 else 0.0
+    reduced2 = hyperfine_reduced_q(2, lower, upper, orb) if a2 != 0.0 else 0.0
+    return averaged_from_reduced(a00, a2, reduced0, reduced2, lower.j.twice)
 
 
 def polarized_matrix_element(

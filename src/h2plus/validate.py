@@ -50,6 +50,10 @@ SATELLITE_REL_TOLERANCE = 0.01
 SATELLITE_THRESHOLD = 1e-4
 TENSOR_TOLERANCE = 1e-14
 
+# Row counts of the bundled reference fixtures.  A check compares the rows it
+# read with these, so a truncated fixture fails instead of checking less.
+EXPECTED_ROWS = {"even levels": 4, "odd levels": 4, "transitions": 4, "lines": 66}
+
 STANDARD_POLS = (
     PolarizationPair.from_token("pipi"),
     PolarizationPair.from_token("spsp"),
@@ -87,17 +91,29 @@ class CheckResult:
         )
 
 
+def _row_count(name: str, rows: int) -> list[str]:
+    """A detail line when a fixture holds other than its expected rows."""
+    expected = EXPECTED_ROWS[name]
+    if rows == expected:
+        return []
+    return [f"reference fixture has {rows} {name}, expected {expected}"]
+
+
 def _check_even_levels(data_dir) -> CheckResult:
     coefficients = load_coefficients(data_dir)
     worst = 0.0
-    details = []
-    for entry in load_reference_levels_even(data_dir):
+    reference = load_reference_levels_even(data_dir)
+    details = _row_count("even levels", len(reference))
+    for entry in reference:
         v, L = entry["v"], entry["L"]
         solution = solve_level(v, L, coefficients=coefficients)
         expected = {2 * L + 1: entry["shift_upper_J_MHz"]}
         if "shift_lower_J_MHz" in entry:
             expected[2 * L - 1] = entry["shift_lower_J_MHz"]
         for state in solution.states:
+            if state.j.twice not in expected:
+                details.append(f"(v={v},L={L}) J={state.j}: no reference shift")
+                continue
             dev = abs(state.shift_mhz - expected[state.j.twice])
             worst = max(worst, dev)
             if dev > SHIFT_TOLERANCE_MHZ:
@@ -116,10 +132,16 @@ def _check_odd_levels(data_dir) -> CheckResult:
     coefficients = load_coefficients(data_dir)
     worst_shift = 0.0
     worst_mix = 0.0
-    details = []
-    for reference in load_reference_levels_odd(data_dir):
+    references = load_reference_levels_odd(data_dir)
+    details = _row_count("odd levels", len(references))
+    for reference in references:
         v, L = reference.level.v, reference.level.L
         solution = solve_level(v, L, coefficients=coefficients)
+        if len(reference.states) != len(solution.states):
+            details.append(
+                f"(v={v},L={L}): reference fixture has {len(reference.states)} "
+                f"states, expected {len(solution.states)}"
+            )
         for ref_state in reference.states:
             state = solution.state(ref_state.f_tilde, ref_state.j)
             shift_dev = abs(state.shift_mhz - ref_state.shift_mhz)
@@ -131,7 +153,9 @@ def _check_odd_levels(data_dir) -> CheckResult:
                     f"(v={v},L={L}) {state.label()}: shift dev {shift_dev:.2e} MHz, "
                     f"mixing dev {mix_dev:.2e}"
                 )
-    passed = worst_shift <= SHIFT_TOLERANCE_MHZ and worst_mix <= MIXING_TOLERANCE
+    passed = (
+        worst_shift <= SHIFT_TOLERANCE_MHZ and worst_mix <= MIXING_TOLERANCE and not details
+    )
     return CheckResult(
         "odd-levels",
         f"odd-L shifts and mixings from fitted constants (mixing dev {worst_mix:.3e})",
@@ -186,8 +210,10 @@ def _check_spectra(data_dir) -> CheckResult:
     orbital = load_orbital_elements(data_dir)
     worst_shift = 0.0
     worst_strong = 0.0
-    details = []
-    for transition in load_reference_lines(data_dir):
+    transitions = load_reference_lines(data_dir)
+    details = _row_count("transitions", len(transitions))
+    details += _row_count("lines", sum(len(t["lines"]) for t in transitions))
+    for transition in transitions:
         lower = RoVibLevel(transition["v_lower"], transition["L_lower"])
         upper = RoVibLevel(transition["v_upper"], transition["L_upper"])
         try:

@@ -165,6 +165,24 @@ class TestRateAndCavity:
         code, _, err = run(capsys, "cavity", "--reflectivity", "1.5", "--losses", "0.0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("rate", flag) for flag in ("--power", "--waist", "--linewidth", "--qsq")]
+        + [("cavity", flag) for flag in ("--reflectivity", "--losses")],
+    )
+    def test_non_finite_float_is_usage_error(self, capsys, command, flag, value):
+        valid = {
+            "rate": {"--power": "10", "--waist": "1e-3", "--linewidth": "2600", "--qsq": "0.02"},
+            "cavity": {"--reflectivity": "0.98", "--losses": "0.001"},
+        }[command]
+        argv = [command] + [f"{name}={value if name == flag else default}"
+                            for name, default in valid.items()]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestValidate:
     def test_default_data_passes(self, capsys):
@@ -194,6 +212,29 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--data-dir", str(workdir))
         assert code == EXIT_VALIDATION
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "name,truncate",
+        [
+            ("levels_odd.json", lambda p: p["levels"].pop()),
+            ("levels_odd.json", lambda p: p["levels"][0]["states"].pop()),
+            ("levels_even.json", lambda p: p["levels"].pop()),
+            ("levels_even.json", lambda p: p["levels"][-1].pop("shift_lower_J_MHz")),
+            ("two_photon_lines.json", lambda p: p["transitions"].pop(0)),
+            ("two_photon_lines.json", lambda p: p["transitions"][-1]["lines"].pop()),
+        ],
+        ids=["odd-level", "odd-state", "even-level", "even-shift", "transition", "line"],
+    )
+    def test_truncated_fixture_fails(self, capsys, tmp_path, name, truncate):
+        workdir = tmp_path / "data"
+        shutil.copytree(default_data_dir(), workdir)
+        path = workdir / "reference" / name
+        payload = json.loads(path.read_text())
+        truncate(payload)
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "validate", "--data-dir", str(workdir))
+        assert code == EXIT_VALIDATION
+        assert "1 of 6 checks failed" in out
 
     def test_missing_data_dir_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", "--data-dir", str(tmp_path / "nope"))

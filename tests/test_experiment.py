@@ -47,6 +47,14 @@ class TestBeamIntensity:
         with pytest.raises(ValueError):
             LaserParams(1.0, 1e-3, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(3))
+    def test_non_finite_rejected(self, index, value):
+        args = [10.0, 1e-3, GAMMA_F]
+        args[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            LaserParams(*args)
+
 
 class TestRateAtResonance:
     def test_prefactor_value(self):
