@@ -125,22 +125,20 @@ def two_photon_spectrum(
     polarizations; lines are sorted by ascending frequency shift.
 
     The polarization weights (a00, a(2)_q) are computed once per call, the
-    reduced elements <gJ||Q(k)||eJ'> once per line and rank (a rank no
-    requested pair weights is skipped), and each intensity once per line and
-    polarization from those numbers through the same `averaged_from_reduced`
-    as `averaged_sq_matrix_element`, so both give identical floats.
+    reduced elements <gJ||Q(k)||eJ'> once per line and rank, and each
+    intensity once per line and polarization from those numbers through the
+    same `averaged_from_reduced` as `averaged_sq_matrix_element`, so both
+    give identical floats.
     """
     if lower_sol.level == upper_sol.level:
         raise ValueError("lower and upper levels must differ")
     pols = tuple(pols)
     weights = [polarization_weights(pol) for pol in pols]
-    need_rank0 = any(a00 != 0.0 for a00, _ in weights)
-    need_rank2 = any(a2 != 0.0 for _, a2 in weights)
     lines = []
     for lo in lower_sol.states:
         for up in upper_sol.states:
-            reduced0 = hyperfine_reduced_q(0, lo, up, orb) if need_rank0 else 0.0
-            reduced2 = hyperfine_reduced_q(2, lo, up, orb) if need_rank2 else 0.0
+            reduced0 = hyperfine_reduced_q(0, lo, up, orb)
+            reduced2 = hyperfine_reduced_q(2, lo, up, orb)
             intensity = {
                 pol: averaged_from_reduced(a00, a2, reduced0, reduced2, lo.j.twice)
                 for pol, (a00, a2) in zip(pols, weights)

@@ -143,7 +143,11 @@ def _check_odd_levels(data_dir) -> CheckResult:
                 f"states, expected {len(solution.states)}"
             )
         for ref_state in reference.states:
-            state = solution.state(ref_state.f_tilde, ref_state.j)
+            try:
+                state = solution.state(ref_state.f_tilde, ref_state.j)
+            except KeyError as exc:
+                details.append(str(exc.args[0]))
+                continue
             shift_dev = abs(state.shift_mhz - ref_state.shift_mhz)
             mix_dev = max(abs(state.c1 - ref_state.c1), abs(state.c3 - ref_state.c3))
             worst_shift = max(worst_shift, shift_dev)

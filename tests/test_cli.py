@@ -218,14 +218,16 @@ class TestValidate:
         [
             ("levels_odd.json", lambda p: p["levels"].pop()),
             ("levels_odd.json", lambda p: p["levels"][0]["states"].pop()),
+            ("levels_odd.json", lambda p: p["levels"][0]["states"][0].update(J="11/2")),
             ("levels_even.json", lambda p: p["levels"].pop()),
             ("levels_even.json", lambda p: p["levels"][-1].pop("shift_lower_J_MHz")),
             ("two_photon_lines.json", lambda p: p["transitions"].pop(0)),
             ("two_photon_lines.json", lambda p: p["transitions"][-1]["lines"].pop()),
         ],
-        ids=["odd-level", "odd-state", "even-level", "even-shift", "transition", "line"],
+        ids=["odd-level", "odd-state", "odd-unknown-state", "even-level", "even-shift",
+             "transition", "line"],
     )
-    def test_truncated_fixture_fails(self, capsys, tmp_path, name, truncate):
+    def test_truncated_or_mismatched_fixture_fails(self, capsys, tmp_path, name, truncate):
         workdir = tmp_path / "data"
         shutil.copytree(default_data_dir(), workdir)
         path = workdir / "reference" / name

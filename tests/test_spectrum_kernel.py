@@ -91,7 +91,7 @@ def test_synthetic_set_covers_every_rank_path(synthetic_transitions):
 
 
 @pytest.mark.parametrize("source", ["bundled", "synthetic"])
-def test_intensities_match_sublevel_oracle(
+def test_intensities_match_closed_form_and_sublevel_oracle(
     source, solved_levels, orbital_elements, synthetic_transitions
 ):
     transitions = (
@@ -107,25 +107,9 @@ def test_intensities_match_sublevel_oracle(
             lower = lower_sol.state(line.lower_f, line.lower_j)
             upper = upper_sol.state(line.upper_f, line.upper_j)
             for pol in ALL_POLS:
+                intensity = line.intensity[pol]
+                assert intensity == averaged_sq_matrix_element(lower, upper, pol, orb)
                 oracle = _sublevel_average(lower, upper, pol, orb)
-                assert line.intensity[pol] == pytest.approx(oracle, rel=0, abs=1e-12)
-                bright += line.intensity[pol] > 1e-6
+                assert intensity == pytest.approx(oracle, rel=0, abs=1e-12)
+                bright += intensity > 1e-6
     assert bright > 0
-
-
-@pytest.mark.parametrize("source", ["bundled", "synthetic"])
-def test_intensities_identical_to_per_pair_closed_form(
-    source, solved_levels, orbital_elements, synthetic_transitions
-):
-    transitions = (
-        _bundled_transitions(solved_levels, orbital_elements)
-        if source == "bundled"
-        else synthetic_transitions
-    )
-    for lower_sol, upper_sol, orb in transitions:
-        result = two_photon_spectrum(lower_sol, upper_sol, orb, ALL_POLS)
-        for line in result.lines:
-            lower = lower_sol.state(line.lower_f, line.lower_j)
-            upper = upper_sol.state(line.upper_f, line.upper_j)
-            for pol in ALL_POLS:
-                assert line.intensity[pol] == averaged_sq_matrix_element(lower, upper, pol, orb)
