@@ -240,19 +240,17 @@ def cmd_rate(args) -> int:
         raise _UsageError(f"qsq must be finite, got {args.qsq}")
     gamma_f = 2.0 * math.pi * args.linewidth
     try:
-        params = LaserParams(args.power, args.waist, gamma_f)
+        intensity = beam_axis_intensity(LaserParams(args.power, args.waist, gamma_f))
+        i_pi, i_sm, i_sp = transverse_field_decomposition(intensity)
+        rate = rate_at_resonance(i_pi if args.transverse else intensity, gamma_f, args.qsq)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    intensity = beam_axis_intensity(params)
     print(f"beam-axis intensity: {intensity:.4e} W/m^2")
     if args.transverse:
-        i_pi, i_sm, i_sp = transverse_field_decomposition(intensity)
         print(f"transverse-field split (pi, sigma-, sigma+): "
               f"{i_pi:.4e} {i_sm:.4e} {i_sp:.4e} W/m^2")
-        rate = rate_at_resonance(i_pi, gamma_f, args.qsq)
         print(f"rate (pi component): {rate:.4f} 1/s")
     else:
-        rate = rate_at_resonance(intensity, gamma_f, args.qsq)
         print(f"rate: {rate:.4f} 1/s")
     return EXIT_OK
 

@@ -13,7 +13,9 @@ H2PLUS_DATA_DIR environment variable, then the package's bundled data.
 from __future__ import annotations
 
 import json
+import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -74,15 +76,43 @@ def _read_json(path: Path) -> dict:
         raise DataError(f"data file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
 
 
-def _require(record: dict, key: str, path: Path):
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{number} is not finite")
+    return number
+
+
+def _require(record: dict, key: str, path: Path, kind=None):
+    """record[key], converted by `kind` when given.  A record that is not an
+    object, a missing key or a value `kind` rejects is a DataError."""
+    if not isinstance(record, dict):
+        raise DataError(f"{path}: expected an object, got {record!r}")
     if key not in record:
         raise DataError(f"{path}: record is missing key {key!r}: {record}")
-    return record[key]
+    if kind is None:
+        return record[key]
+    try:
+        return kind(record[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: bad value for key {key!r} in {record}: {exc}") from None
+
+
+@contextmanager
+def _checked(path: Path, record):
+    """Turn a constructor's ValueError/TypeError on `record` into a DataError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: invalid record {record}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -101,19 +131,20 @@ def load_coefficients(data_dir: str | os.PathLike | None = None) -> dict[RoVibLe
     if payload.get("units") != "MHz":
         raise DataError(f"{path}: expected units 'MHz', got {payload.get('units')!r}")
     table: dict[RoVibLevel, CoefficientRecord] = {}
-    for record in _require(payload, "coefficients", path):
-        level = RoVibLevel(int(_require(record, "v", path)), int(_require(record, "L", path)))
-        coeffs = HyperfineCoefficients(
-            b_f=float(_require(record, "b_F", path)),
-            c_e=float(_require(record, "c_e", path)),
-            c_i=float(_require(record, "c_I", path)),
-            d1=float(_require(record, "d_1", path)),
-            d2=float(_require(record, "d_2", path)),
-        )
+    for record in _require(payload, "coefficients", path, list):
+        with _checked(path, record):
+            level = RoVibLevel(_require(record, "v", path, int), _require(record, "L", path, int))
+            coeffs = HyperfineCoefficients(
+                b_f=_require(record, "b_F", path, _finite),
+                c_e=_require(record, "c_e", path, _finite),
+                c_i=_require(record, "c_I", path, _finite),
+                d1=_require(record, "d_1", path, _finite),
+                d2=_require(record, "d_2", path, _finite),
+            )
         table[level] = CoefficientRecord(
             level=level,
             coefficients=coeffs,
-            fit_residual_mhz=float(_require(record, "fit_residual_MHz", path)),
+            fit_residual_mhz=_require(record, "fit_residual_MHz", path, _finite),
             provenance=str(record.get("provenance", "")),
         )
     if not table:
@@ -127,17 +158,18 @@ def load_orbital_elements(
     path = resolve_data_dir(data_dir) / ORBITAL_FILE
     payload = _read_json(path)
     table: dict[tuple[RoVibLevel, RoVibLevel], OrbitalReducedElements] = {}
-    for record in _require(payload, "elements", path):
-        lower = RoVibLevel(int(_require(record, "v", path)), int(_require(record, "L", path)))
-        upper = RoVibLevel(
-            int(_require(record, "v_prime", path)), int(_require(record, "L_prime", path))
-        )
-        table[(lower, upper)] = OrbitalReducedElements(
-            lower=lower,
-            upper=upper,
-            q0=float(_require(record, "Q0", path)),
-            q2=float(_require(record, "Q2", path)),
-        )
+    for record in _require(payload, "elements", path, list):
+        with _checked(path, record):
+            lower = RoVibLevel(_require(record, "v", path, int), _require(record, "L", path, int))
+            upper = RoVibLevel(
+                _require(record, "v_prime", path, int), _require(record, "L_prime", path, int)
+            )
+            table[(lower, upper)] = OrbitalReducedElements(
+                lower=lower,
+                upper=upper,
+                q0=_require(record, "Q0", path, _finite),
+                q2=_require(record, "Q2", path, _finite),
+            )
     if not table:
         raise DataError(f"{path}: no orbital element records")
     return table
@@ -148,10 +180,10 @@ def load_center_frequencies(data_dir: str | os.PathLike | None = None) -> dict[i
     path = resolve_data_dir(data_dir) / CENTERS_FILE
     payload = _read_json(path)
     table = {}
-    for record in _require(payload, "centers", path):
-        table[int(_require(record, "L", path))] = {
-            "nu_2ph_MHz": float(_require(record, "nu_2ph_MHz", path)),
-            "lambda_um": float(_require(record, "lambda_um", path)),
+    for record in _require(payload, "centers", path, list):
+        table[_require(record, "L", path, int)] = {
+            "nu_2ph_MHz": _require(record, "nu_2ph_MHz", path, _finite),
+            "lambda_um": _require(record, "lambda_um", path, _finite),
         }
     if not table:
         raise DataError(f"{path}: no center frequency records")
@@ -190,22 +222,27 @@ def load_reference_levels_even(data_dir=None) -> list[dict]:
     return _require(payload, "levels", _reference_path(data_dir, "levels_even.json"))
 
 
+def _half_int(text) -> HalfInt:
+    return HalfInt.parse(str(text))
+
+
 def load_reference_levels_odd(data_dir=None) -> list[HyperfineSolution]:
     path = _reference_path(data_dir, "levels_odd.json")
     payload = _read_json(path)
     solutions = []
-    for entry in _require(payload, "levels", path):
-        level = RoVibLevel(int(entry["v"]), int(entry["L"]))
+    for entry in _require(payload, "levels", path, list):
+        with _checked(path, entry):
+            level = RoVibLevel(_require(entry, "v", path, int), _require(entry, "L", path, int))
         states = tuple(
             HyperfineEigenstate(
                 level=level,
-                f_tilde=HalfInt.parse(row["F_tilde"]),
-                j=HalfInt.parse(row["J"]),
-                shift_mhz=float(row["shift_MHz"]),
-                c1=float(row["C1"]),
-                c3=float(row["C3"]),
+                f_tilde=_require(row, "F_tilde", path, _half_int),
+                j=_require(row, "J", path, _half_int),
+                shift_mhz=_require(row, "shift_MHz", path, _finite),
+                c1=_require(row, "C1", path, _finite),
+                c3=_require(row, "C3", path, _finite),
             )
-            for row in entry["states"]
+            for row in _require(entry, "states", path, list)
         )
         solutions.append(HyperfineSolution(level, states))
     return solutions

@@ -93,9 +93,24 @@ class CavityParams:
             raise ValueError("R + P exceed 1: negative transmission")
 
 
+def _finite_result(name: str, compute) -> float:
+    """compute(), or a ValueError if it overflows or is not a finite number."""
+    try:
+        value = compute()
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not a finite number for these inputs")
+    return value
+
+
 def beam_axis_intensity(params: LaserParams) -> float:
-    """On-axis intensity of a Gaussian beam, 2P / (pi w0^2), in W/m^2."""
-    return 2.0 * params.power_w / (math.pi * params.waist_m**2)
+    """On-axis intensity of a Gaussian beam, 2P / (pi w0^2), in W/m^2.
+
+    Raises ValueError if the intensity overflows."""
+    return _finite_result(
+        "beam intensity", lambda: 2.0 * params.power_w / (math.pi * params.waist_m**2)
+    )
 
 
 def rate_at_resonance(intensity_w_m2: float, gamma_f_rad_s: float, q_sq: float) -> float:
@@ -103,13 +118,17 @@ def rate_at_resonance(intensity_w_m2: float, gamma_f_rad_s: float, q_sq: float) 
 
         (4 pi a0^3 / (hbar c))^2 * (4 / Gamma_f) * I^2 * [Q]^2
 
-    with [Q]^2 the averaged squared matrix element in atomic units.
+    with [Q]^2 the averaged squared matrix element in atomic units.  Raises
+    ValueError if the rate overflows.
     """
     if gamma_f_rad_s <= 0.0:
         raise ValueError("instrumental width must be positive (the rate diverges)")
     if intensity_w_m2 < 0.0 or q_sq < 0.0:
         raise ValueError("intensity and squared matrix element must be non-negative")
-    return RATE_PREFACTOR_M4_PER_J2 * 4.0 / gamma_f_rad_s * intensity_w_m2**2 * q_sq
+    return _finite_result(
+        "rate",
+        lambda: RATE_PREFACTOR_M4_PER_J2 * 4.0 / gamma_f_rad_s * intensity_w_m2**2 * q_sq,
+    )
 
 
 def transverse_field_decomposition(intensity_w_m2: float) -> tuple[float, float, float]:

@@ -336,6 +336,13 @@ _MIXING_WEIGHT = 100.0
 
 _SHIFT_RESIDUAL_LIMIT_MHZ = 1e-3
 
+# Forward-difference step of the fit Jacobian, relative to max(|c|, 1): the
+# square root of the machine epsilon, as in MINPACK's lmdif.
+_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+
+# Gauss-Newton steps allowed before the fit counts as not converged.
+_MAX_STEPS = 20
+
 
 def _reconstruct_entries(L: int, observed: HyperfineSolution) -> dict[str, float]:
     """Rebuild the matrix entries A..K from observed shifts and mixings."""
@@ -392,8 +399,13 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
 
     The observed solution must contain all hyperfine sublevels of the odd-L
     level (shifts plus mixing coefficients).  A linear reconstruction of the
-    matrix entries seeds a least-squares polish on the shifts and on the
-    small mixing amplitudes; the polished minimum is deterministic.
+    matrix entries seeds a Gauss-Newton polish on the shifts and on the
+    small mixing amplitudes.  Each step solves the linearized least-squares
+    problem with a forward-difference Jacobian and is kept only if it lowers
+    the residual norm; the first step that does not ends the polish, so the
+    result is deterministic.  Raises FitError if the residual norm is still
+    falling after _MAX_STEPS steps, or if a shift residual exceeds
+    _SHIFT_RESIDUAL_LIMIT_MHZ.
     """
     if L % 2 == 0:
         raise ValueError("fit_coefficients handles odd L; use fit_even_coefficient")
@@ -403,10 +415,6 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
             f"need all {expected_n} sublevels of L={L}, got {len(observed.states)}"
         )
 
-    # scipy is needed only here; importing it on first use keeps it off the
-    # import path of every other command.
-    from scipy.optimize import least_squares
-
     target = _observation_vector(observed)
 
     def residuals(params):
@@ -414,12 +422,23 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
                                     v=observed.level.v)
         return _observation_vector(predicted) - target
 
-    seed = _linear_fit(L, observed)
-    result = least_squares(residuals, seed, method="lm", xtol=1e-15, ftol=1e-15)
-    if not result.success:
-        raise FitError(f"coefficient fit did not converge: {result.message}")
+    params = _linear_fit(L, observed)
+    res = residuals(params)
+    for _ in range(_MAX_STEPS):
+        jac = np.empty((len(res), 5))
+        for col in range(5):
+            h = _DIFF_STEP * max(abs(params[col]), 1.0)
+            shifted = params.copy()
+            shifted[col] += h
+            jac[:, col] = (residuals(shifted) - res) / h
+        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        trial = residuals(params + step)
+        if not trial @ trial < res @ res:
+            break
+        params, res = params + step, trial
+    else:
+        raise FitError(f"coefficient fit did not converge in {_MAX_STEPS} Gauss-Newton steps")
 
-    res = residuals(result.x)
     n_shift = len(observed.states)
     shift_res = tuple(abs(r) for r in res[:n_shift])
     mixing_res = max((abs(r) / _MIXING_WEIGHT for r in res[n_shift:]), default=0.0)
@@ -430,7 +449,7 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
             f"per-state residuals (MHz): {['%.6f' % r for r in shift_res]}"
         )
     return FitResult(
-        coefficients=HyperfineCoefficients.from_array(result.x),
+        coefficients=HyperfineCoefficients.from_array(params),
         residual_norm_mhz=float(np.linalg.norm(res)),
         max_shift_residual_mhz=max_shift,
         max_mixing_residual=mixing_res,

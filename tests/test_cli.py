@@ -1,9 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import io
 import json
+import math
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from h2plus.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from h2plus.datafiles import default_data_dir
@@ -129,6 +134,9 @@ class TestSpectrum:
         assert first == second
 
 
+RATE_FLAGS = {"--power": "10", "--waist": "1e-3", "--linewidth": "2600", "--qsq": "0.02"}
+
+
 class TestRateAndCavity:
     def test_rate_output(self, capsys):
         code, out, _ = run(
@@ -182,6 +190,91 @@ class TestRateAndCavity:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"--waist": "1e-200"},
+            {"--power": "1e200"},
+            {"--power": "1e308", "--waist": "1e-10"},
+            {"--linewidth": "1e-310"},
+        ],
+        ids=["tiny-waist", "huge-power", "huge-intensity", "tiny-linewidth"],
+    )
+    def test_overflowing_rate_is_usage_error(self, capsys, overrides):
+        flags = {**RATE_FLAGS, **overrides}
+        code, out, err = run(capsys, "rate", *(f"{k}={v}" for k, v in flags.items()))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", sorted(RATE_FLAGS))
+    @settings(max_examples=100, deadline=None)
+    @given(value=st.floats(), transverse=st.booleans())
+    @example(value=math.nan, transverse=False)
+    @example(value=math.inf, transverse=False)
+    @example(value=-math.inf, transverse=True)
+    @example(value=5e-324, transverse=False)
+    @example(value=-5e-324, transverse=True)
+    @example(value=1e308, transverse=False)
+    @example(value=-1e308, transverse=True)
+    def test_any_rate_float_exits_cleanly(self, flag, value, transverse):
+        flags = {**RATE_FLAGS, flag: repr(value)}
+        argv = ["rate", *(f"{k}={v}" for k, v in flags.items())]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv + (["--transverse"] if transverse else []))
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert code in (EXIT_OK, EXIT_USAGE)
+        if code == EXIT_OK:
+            assert "inf" not in out and "nan" not in out
+        else:
+            assert out == "" and err.startswith("error: ")
+
+
+def _drop_c1(payload):
+    del payload["levels"][0]["states"][0]["C1"]
+
+
+def _couple_l_to_l_plus_1(payload):
+    payload["elements"][0]["L_prime"] = payload["elements"][0]["L"] + 1
+
+
+class TestMalformedData:
+    @pytest.mark.parametrize(
+        "name,corrupt,argv",
+        [
+            ("hyperfine_coefficients.json",
+             lambda p: p["coefficients"][1].update(b_F=float("nan")),
+             ["levels", "--v", "0", "--L", "1"]),
+            ("hyperfine_coefficients.json", lambda p: [p],
+             ["levels", "--v", "0", "--L", "1"]),
+            ("orbital_reduced_elements.json", lambda p: p["elements"][0].update(Q0="abc"),
+             ["spectrum", "--lower", "0,0", "--upper", "1,0"]),
+            ("orbital_reduced_elements.json", _couple_l_to_l_plus_1,
+             ["spectrum", "--lower", "0,0", "--upper", "1,0"]),
+            ("center_frequencies.json", lambda p: p["centers"].__setitem__(0, [1, 2]),
+             ["spectrum", "--lower", "0,0", "--upper", "1,0", "--absolute"]),
+            ("center_frequencies.json", lambda p: p["centers"][0].update(L=[1, 2]),
+             ["spectrum", "--lower", "0,0", "--upper", "1,0", "--absolute"]),
+            ("reference/levels_odd.json", _drop_c1, ["validate"]),
+        ],
+        ids=["coefficient-nan", "coefficients-top-level-list", "orbital-string",
+             "orbital-selection-rule", "center-list-record", "center-list-value",
+             "reference-missing-c1"],
+    )
+    def test_malformed_value_is_data_error(self, capsys, tmp_path, name, corrupt, argv):
+        workdir = tmp_path / "data"
+        shutil.copytree(default_data_dir(), workdir)
+        path = workdir / name
+        payload = json.loads(path.read_text())
+        payload = corrupt(payload) or payload
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, *argv, "--data-dir", str(workdir))
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ")
+        assert name.split("/")[-1] in err
+        assert "Traceback" not in err
 
 
 class TestValidate:

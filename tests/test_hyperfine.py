@@ -1,6 +1,10 @@
 """Hyperfine level structure: matrix entries, diagonalization, fitting."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +313,32 @@ class TestFitCoefficients:
         partial = HyperfineSolution(full.level, full.states[:4])
         with pytest.raises(FitError):
             fit_coefficients(3, partial)
+
+    def test_refit_reproduces_shipped_constants(self, reference_levels_odd, coefficients):
+        for observed in reference_levels_odd:
+            fit = fit_coefficients(observed.level.L, observed)
+            shipped = coefficients[observed.level].coefficients.as_array()
+            relative = np.abs(fit.coefficients.as_array() - shipped) / np.abs(shipped)
+            assert np.max(relative) < 2e-6, observed.level
+
+    def test_fit_imports_no_third_party_module_but_numpy(self):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import h2plus.cli\n"
+            "from h2plus.datafiles import load_reference_levels_odd\n"
+            "from h2plus.hyperfine import fit_coefficients\n"
+            "for observed in load_reference_levels_odd():\n"
+            "    fit_coefficients(observed.level.L, observed)\n"
+            "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names)))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.strip() == "['h2plus', 'numpy']"
 
     def test_even_inversion(self):
         fit = fit_even_coefficient(2, 39.5716, -59.3574)
