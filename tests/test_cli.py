@@ -236,10 +236,6 @@ def _drop_c1(payload):
     del payload["levels"][0]["states"][0]["C1"]
 
 
-def _couple_l_to_l_plus_1(payload):
-    payload["elements"][0]["L_prime"] = payload["elements"][0]["L"] + 1
-
-
 class TestMalformedData:
     @pytest.mark.parametrize(
         "name,corrupt,argv",
@@ -251,7 +247,10 @@ class TestMalformedData:
              ["levels", "--v", "0", "--L", "1"]),
             ("orbital_reduced_elements.json", lambda p: p["elements"][0].update(Q0="abc"),
              ["spectrum", "--lower", "0,0", "--upper", "1,0"]),
-            ("orbital_reduced_elements.json", _couple_l_to_l_plus_1,
+            ("orbital_reduced_elements.json",
+             lambda p: p["elements"][1].update(Q2=float("nan")),
+             ["spectrum", "--lower", "0,1", "--upper", "1,1"]),
+            ("orbital_reduced_elements.json", lambda p: p["elements"][0].update(L_prime=1),
              ["spectrum", "--lower", "0,0", "--upper", "1,0"]),
             ("center_frequencies.json", lambda p: p["centers"].__setitem__(0, [1, 2]),
              ["spectrum", "--lower", "0,0", "--upper", "1,0", "--absolute"]),
@@ -260,7 +259,7 @@ class TestMalformedData:
             ("reference/levels_odd.json", _drop_c1, ["validate"]),
         ],
         ids=["coefficient-nan", "coefficients-top-level-list", "orbital-string",
-             "orbital-selection-rule", "center-list-record", "center-list-value",
+             "orbital-nan", "orbital-selection-rule", "center-list-record", "center-list-value",
              "reference-missing-c1"],
     )
     def test_malformed_value_is_data_error(self, capsys, tmp_path, name, corrupt, argv):
