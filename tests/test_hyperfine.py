@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from h2plus import hyperfine
 from h2plus.angular import HalfInt, SpinOperator, minus_one_pow, spin_reduced_matrix, wigner6j
 from h2plus.hyperfine import (
     F_HALF,
@@ -313,6 +314,12 @@ class TestFitCoefficients:
         partial = HyperfineSolution(full.level, full.states[:4])
         with pytest.raises(FitError):
             fit_coefficients(3, partial)
+
+    def test_exhausted_step_cap_is_fit_error(self, monkeypatch, reference_levels_odd):
+        monkeypatch.setattr(hyperfine, "_MAX_STEPS", 1)
+        observed = reference_levels_odd[0]
+        with pytest.raises(FitError, match="did not converge"):
+            fit_coefficients(observed.level.L, observed)
 
     def test_refit_reproduces_shipped_constants(self, reference_levels_odd, coefficients):
         for observed in reference_levels_odd:
