@@ -217,13 +217,45 @@ def _reference_path(data_dir, name: str) -> Path:
     return resolve_data_dir(data_dir) / "reference" / name
 
 
+def _read_level(record: dict, path: Path, v_key: str = "v", l_key: str = "L") -> RoVibLevel:
+    with _checked(path, record):
+        return RoVibLevel(_require(record, v_key, path, int), _require(record, l_key, path, int))
+
+
 def load_reference_levels_even(data_dir=None) -> list[dict]:
-    payload = _read_json(_reference_path(data_dir, "levels_even.json"))
-    return _require(payload, "levels", _reference_path(data_dir, "levels_even.json"))
+    """Published even-L shifts: one {v, L, shift_upper_J_MHz[,
+    shift_lower_J_MHz]} record per level, values checked and converted."""
+    path = _reference_path(data_dir, "levels_even.json")
+    levels = []
+    for entry in _require(_read_json(path), "levels", path, list):
+        level = _read_level(entry, path)
+        row = {
+            "v": level.v,
+            "L": level.L,
+            "shift_upper_J_MHz": _require(entry, "shift_upper_J_MHz", path, _finite),
+        }
+        if "shift_lower_J_MHz" in entry:
+            row["shift_lower_J_MHz"] = _require(entry, "shift_lower_J_MHz", path, _finite)
+        levels.append(row)
+    return levels
 
 
 def _half_int(text) -> HalfInt:
     return HalfInt.parse(str(text))
+
+
+def _half_int_text(value) -> str:
+    """A half-integer string such as '3/2', in the form str(HalfInt) writes."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string such as '3/2', got {value!r}")
+    return str(HalfInt.parse(value))
+
+
+def _intensities(value) -> dict[str, float]:
+    """A {polarization token: finite intensity} object."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    return {token: _finite(number) for token, number in value.items()}
 
 
 def load_reference_levels_odd(data_dir=None) -> list[HyperfineSolution]:
@@ -231,8 +263,7 @@ def load_reference_levels_odd(data_dir=None) -> list[HyperfineSolution]:
     payload = _read_json(path)
     solutions = []
     for entry in _require(payload, "levels", path, list):
-        with _checked(path, entry):
-            level = RoVibLevel(_require(entry, "v", path, int), _require(entry, "L", path, int))
+        level = _read_level(entry, path)
         states = tuple(
             HyperfineEigenstate(
                 level=level,
@@ -248,7 +279,26 @@ def load_reference_levels_odd(data_dir=None) -> list[HyperfineSolution]:
     return solutions
 
 
+_LINE_LABELS = ("F_lower", "J_lower", "F_upper", "J_upper")
+
+
 def load_reference_lines(data_dir=None) -> list[dict]:
+    """Published line lists: one {v_lower, L_lower, v_upper, L_upper, lines}
+    record per transition, each line {F_lower, J_lower, F_upper, J_upper,
+    delta_f_MHz, intensity: {token: value}}, values checked and converted."""
     path = _reference_path(data_dir, "two_photon_lines.json")
-    payload = _read_json(path)
-    return _require(payload, "transitions", path)
+    transitions = []
+    for entry in _require(_read_json(path), "transitions", path, list):
+        lower = _read_level(entry, path, "v_lower", "L_lower")
+        upper = _read_level(entry, path, "v_upper", "L_upper")
+        lines = []
+        for row in _require(entry, "lines", path, list):
+            line = {key: _require(row, key, path, _half_int_text) for key in _LINE_LABELS}
+            line["delta_f_MHz"] = _require(row, "delta_f_MHz", path, _finite)
+            line["intensity"] = _require(row, "intensity", path, _intensities)
+            lines.append(line)
+        transitions.append(
+            {"v_lower": lower.v, "L_lower": lower.L, "v_upper": upper.v, "L_upper": upper.L,
+             "lines": lines}
+        )
+    return transitions

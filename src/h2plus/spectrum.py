@@ -13,11 +13,10 @@ fixed (ascending frequency shift) regardless of evaluation order.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "line_position_shift",
     "two_photon_spectrum",
     "convolve_profile",
-    "spectrum_to_dict",
     "spectrum_to_csv",
     "spectrum_to_json",
     "format_shift",
@@ -124,11 +122,11 @@ def two_photon_spectrum(
     Every pair is emitted, including those that are dark for all requested
     polarizations; lines are sorted by ascending frequency shift.
 
-    The polarization weights (a00, a(2)_q) are computed once per call, the
-    reduced elements <gJ||Q(k)||eJ'> once per line and rank, and each
-    intensity once per line and polarization from those numbers through the
-    same `averaged_from_reduced` as `averaged_sq_matrix_element`, so both
-    give identical floats.
+    The polarization weights (a00, a(2)_q) come from the per-process cache
+    of `polarization_weights`, the reduced elements <gJ||Q(k)||eJ'> are
+    computed once per line and rank, and each intensity once per line and
+    polarization from those numbers through the same `averaged_from_reduced`
+    as `averaged_sq_matrix_element`, so both give identical floats.
     """
     if lower_sol.level == upper_sol.level:
         raise ValueError("lower and upper levels must differ")
@@ -222,36 +220,25 @@ def convolve_profile(
     return freqs, samples
 
 
-def spectrum_to_dict(result: SpectrumResult, absolute: bool = False) -> dict:
-    """JSON-ready dictionary mirroring the spectrum result."""
-    payload = {
-        "lower": {"v": result.lower.v, "L": result.lower.L},
-        "upper": {"v": result.upper.v, "L": result.upper.L},
-        "center_frequency_MHz": result.center_frequency_mhz,
-        "polarizations": [pol.token for pol in result.pols],
-        "units": {"delta_f": "MHz", "intensity": "a.u."},
-        "provenance": result.provenance,
-        "lines": [],
-    }
-    for line in result.lines:
-        row = {
-            "F_lower": str(line.lower_f),
-            "J_lower": str(line.lower_j),
-            "F_upper": str(line.upper_f),
-            "J_upper": str(line.upper_j),
-            "delta_f_MHz": round(line.delta_f_mhz, SHIFT_DECIMALS),
-            "intensity": {
-                pol.token: float(f"{line.intensity[pol]:.{INTENSITY_SIGNIFICANT_DIGITS-1}e}")
-                for pol in result.pols
-            },
-            "dark": line.dark,
-        }
-        if absolute and result.center_frequency_mhz is not None:
-            row["absolute_f_MHz"] = round(
-                result.center_frequency_mhz + line.delta_f_mhz, SHIFT_DECIMALS
-            )
-        payload["lines"].append(row)
-    return payload
+def _json_float(value: float) -> str:
+    """A float as `json.dumps` writes it: its repr, or NaN/Infinity."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _json_object(members: Iterable[tuple[str, str]], indent: str) -> str:
+    """A JSON object of already-rendered (key, value) members, keys sorted,
+    laid out as `json.dumps(indent=2)` lays out an object whose closing
+    brace sits at `indent`."""
+    members = sorted(members)
+    if not members:
+        return "{}"
+    inner = indent + "  "
+    body = ",\n".join(f"{inner}{_json_string(key)}: {value}" for key, value in members)
+    return f"{{\n{body}\n{indent}}}"
+
+
+def _json_level(level: RoVibLevel) -> str:
+    return _json_object((("L", str(level.L)), ("v", str(level.v))), "  ")
 
 
 def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
@@ -259,21 +246,20 @@ def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
 
     Columns: L, v, F_lower, J_lower, F_upper, J_upper, delta_f_MHz and one
     intensity column per requested polarization pair; an absolute frequency
-    column is appended on request.
+    column is appended on request.  No field ever needs quoting.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
     header = ["L", "v", "F_lower", "J_lower", "F_upper", "J_upper", "delta_f_MHz"]
     header += [f"intensity_{pol.token}" for pol in result.pols]
+    center = result.center_frequency_mhz
     if absolute:
-        if result.center_frequency_mhz is None:
+        if center is None:
             raise ValueError("no center frequency available for absolute output")
         header.append("absolute_f_MHz")
-    writer.writerow(header)
+    rows = [",".join(header)]
+    prefix = f"{result.lower.L},{result.lower.v}"
     for line in result.lines:
         row = [
-            result.lower.L,
-            result.lower.v,
+            prefix,
             str(line.lower_f),
             str(line.lower_j),
             str(line.upper_f),
@@ -282,10 +268,65 @@ def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
         ]
         row += [format_intensity(line.intensity[pol]) for pol in result.pols]
         if absolute:
-            row.append(format_shift(result.center_frequency_mhz + line.delta_f_mhz))
-        writer.writerow(row)
-    return buffer.getvalue()
+            row.append(format_shift(center + line.delta_f_mhz))
+        rows.append(",".join(row))
+    rows.append("")
+    return "\n".join(rows)
 
 
 def spectrum_to_json(result: SpectrumResult, absolute: bool = False) -> str:
-    return json.dumps(spectrum_to_dict(result, absolute=absolute), indent=2, sort_keys=True)
+    """Render the spectrum as JSON: keys sorted, two-space indent, strings
+    and floats written as `json.dumps(..., indent=2, sort_keys=True)` writes
+    them.  Shifts are rounded to SHIFT_DECIMALS, intensities to
+    INTENSITY_SIGNIFICANT_DIGITS, one per distinct polarization token; the
+    absolute frequency appears on request when a center frequency is known.
+    """
+    center = result.center_frequency_mhz
+    absolute = absolute and center is not None
+    digits = INTENSITY_SIGNIFICANT_DIGITS - 1
+    # one "key": prefix per distinct token, in sorted-token order
+    by_token = sorted({pol.token: pol for pol in result.pols}.items())
+    keys = [(f"\n        {_json_string(token)}: ", pol) for token, pol in by_token]
+    lines = []
+    for line in result.lines:
+        intensity = (
+            "{"
+            + ",".join(
+                key + _json_float(float(f"{line.intensity[pol]:.{digits}e}"))
+                for key, pol in keys
+            )
+            + "\n      }"
+            if keys
+            else "{}"
+        )
+        absolute_f = (
+            f'      "absolute_f_MHz": '
+            f"{_json_float(round(center + line.delta_f_mhz, SHIFT_DECIMALS))},\n"
+            if absolute
+            else ""
+        )
+        lines.append(
+            "    {\n"
+            f'      "F_lower": {_json_string(str(line.lower_f))},\n'
+            f'      "F_upper": {_json_string(str(line.upper_f))},\n'
+            f'      "J_lower": {_json_string(str(line.lower_j))},\n'
+            f'      "J_upper": {_json_string(str(line.upper_j))},\n'
+            f"{absolute_f}"
+            f'      "dark": {"true" if line.dark else "false"},\n'
+            f'      "delta_f_MHz": {_json_float(round(line.delta_f_mhz, SHIFT_DECIMALS))},\n'
+            f'      "intensity": {intensity}\n'
+            "    }"
+        )
+    tokens = [f"    {_json_string(pol.token)}" for pol in result.pols]
+    members = (
+        ("center_frequency_MHz", "null" if center is None else _json_float(center)),
+        ("lines", "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"),
+        ("lower", _json_level(result.lower)),
+        ("polarizations", "[\n" + ",\n".join(tokens) + "\n  ]" if tokens else "[]"),
+        ("provenance", _json_object(
+            ((key, _json_string(value)) for key, value in result.provenance.items()), "  "
+        )),
+        ("units", _json_object((("delta_f", '"MHz"'), ("intensity", '"a.u."')), "  ")),
+        ("upper", _json_level(result.upper)),
+    )
+    return _json_object(members, "")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .angular import HalfInt, _six_j, clebsch_gordan
 from .hyperfine import HyperfineEigenstate, RoVibLevel
@@ -154,8 +155,11 @@ def tensor_coefficients(pair: PolarizationPair) -> TensorCoeffs:
     return TensorCoeffs(a2=tuple(a2), a00=a00, q_total=q)
 
 
+@cache
 def polarization_weights(pair: PolarizationPair) -> tuple[float, float]:
-    """The two weights a pair can carry: (a00, a(2)_q) with q = q1+q2."""
+    """The two weights a pair can carry: (a00, a(2)_q) with q = q1+q2.
+
+    Computed once per pair and process; there are nine pairs."""
     coeffs = tensor_coefficients(pair)
     return coeffs.a00, coeffs.a2_at(coeffs.q_total)
 
@@ -267,11 +271,10 @@ def averaged_sq_matrix_element(
 
         (1/(2J+1)) * sum_k |a(k)_q <gJ||Q(k)||eJ'>|^2 / (2k+1),  q = q1+q2.
 
-    Each call computes the pair's two weights and each reduced element
-    with a nonzero weight once.  Line lists go through
-    `spectrum.two_photon_spectrum`, which shares `averaged_from_reduced`
-    but computes the weights once per call and the reduced elements once
-    per line.
+    Each call computes each reduced element with a nonzero weight once.
+    Line lists go through `spectrum.two_photon_spectrum`, which shares
+    `polarization_weights` and `averaged_from_reduced` but computes the
+    reduced elements once per line.
     """
     a00, a2 = polarization_weights(pair)
     reduced0 = hyperfine_reduced_q(0, lower, upper, orb) if a00 != 0.0 else 0.0

@@ -250,7 +250,10 @@ def _check_spectra(data_dir) -> CheckResult:
                     f"L={lower.L} {line.label()}: shift deviation {shift_dev:.2e} MHz"
                 )
             for pol in STANDARD_POLS:
-                expected = row["intensity"][pol.token]
+                expected = row["intensity"].get(pol.token)
+                if expected is None:
+                    details.append(f"L={lower.L} {line.label()}: no published {pol.token} intensity")
+                    continue
                 actual = line.intensity[pol]
                 if not intensity_within_tolerance(expected, actual):
                     details.append(

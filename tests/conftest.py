@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from h2plus.datafiles import (
@@ -9,6 +11,49 @@ from h2plus.datafiles import (
     load_reference_lines,
     solve_level,
 )
+from h2plus.hyperfine import (
+    HyperfineCoefficients,
+    RoVibLevel,
+    diagonalize_even,
+    diagonalize_odd,
+)
+from h2plus.twophoton import OrbitalReducedElements
+
+SYNTHETIC_L_MAX = 7
+
+
+def _synthetic_level(rng, v, L):
+    if L % 2 == 0:
+        return diagonalize_even(L, rng.uniform(30.0, 45.0), v=v)
+    coefficients = HyperfineCoefficients(
+        b_f=rng.uniform(850.0, 950.0),
+        c_e=rng.uniform(30.0, 45.0),
+        c_i=rng.uniform(-0.05, -0.03),
+        d1=rng.uniform(100.0, 140.0),
+        d2=rng.uniform(-0.35, -0.25),
+    )
+    return diagonalize_odd(L, coefficients, v=v)
+
+
+def _synthetic_transitions(seed=20081):
+    """(0, L) -> (1, L') for L, L' <= 7 and L' - L in {0, +-2}, with random
+    level constants and orbital elements."""
+    rng = random.Random(seed)
+    levels = {
+        (v, L): _synthetic_level(rng, v, L)
+        for v in (0, 1)
+        for L in range(SYNTHETIC_L_MAX + 1)
+    }
+    transitions = []
+    for L in range(SYNTHETIC_L_MAX + 1):
+        for Lp in (L - 2, L, L + 2):
+            if not 0 <= Lp <= SYNTHETIC_L_MAX:
+                continue
+            q0 = rng.uniform(0.5, 2.0) if Lp == L else 0.0
+            q2 = rng.uniform(0.02, 1.0) if (L, Lp) != (0, 0) else 0.0
+            orb = OrbitalReducedElements(RoVibLevel(0, L), RoVibLevel(1, Lp), q0, q2)
+            transitions.append((levels[(0, L)], levels[(1, Lp)], orb))
+    return transitions
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +93,9 @@ def solved_levels(coefficients):
         (level.v, level.L): solve_level(level.v, level.L, coefficients=coefficients)
         for level in coefficients
     }
+
+
+@pytest.fixture(scope="session")
+def synthetic_transitions():
+    """Seeded synthetic (lower, upper, orbital elements) triples, L <= 7."""
+    return _synthetic_transitions()

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 
 from h2plus.angular import (
     HalfInt,
-    SpinOperator,
     clebsch_gordan,
     minus_one_pow,
     projections,
-    spin_reduced_matrix,
     wigner3j,
     wigner6j,
 )
+from spin_oracle import SpinOperator, spin_reduced_matrix
 
 HALF = HalfInt(1)
 THREE_HALF = HalfInt(3)

@@ -263,6 +263,39 @@ class TestMalformedData:
              "reference-missing-c1"],
     )
     def test_malformed_value_is_data_error(self, capsys, tmp_path, name, corrupt, argv):
+        self._assert_data_error(capsys, tmp_path, name, corrupt, argv)
+
+    @pytest.mark.parametrize(
+        "name,corrupt",
+        [
+            ("levels_even.json", lambda p: p["levels"][2].update(shift_upper_J_MHz="abc")),
+            ("levels_even.json", lambda p: p["levels"][2].update(shift_lower_J_MHz=math.nan)),
+            ("levels_even.json", lambda p: p["levels"][0].update(L=-2)),
+            ("levels_even.json", lambda p: p["levels"].__setitem__(0, [0, 0])),
+            ("two_photon_lines.json", lambda p: p["transitions"].__setitem__(0, 5)),
+            ("two_photon_lines.json", lambda p: p["transitions"][0].update(L_lower="x")),
+            ("two_photon_lines.json", lambda p: p["transitions"][0].pop("lines") and None),
+            ("two_photon_lines.json",
+             lambda p: p["transitions"][1]["lines"][0].update(delta_f_MHz="abc")),
+            ("two_photon_lines.json", lambda p: p["transitions"][1]["lines"][0].update(F_lower=0.5)),
+            ("two_photon_lines.json", lambda p: p["transitions"][1]["lines"][0].update(J_upper="x/2")),
+            ("two_photon_lines.json",
+             lambda p: p["transitions"][1]["lines"][0].update(intensity=[0.1])),
+            ("two_photon_lines.json",
+             lambda p: p["transitions"][1]["lines"][0]["intensity"].update(pipi="abc")),
+            ("two_photon_lines.json",
+             lambda p: p["transitions"][1]["lines"][0]["intensity"].update(spsm=math.nan)),
+        ],
+        ids=["even-shift-string", "even-shift-nan", "even-negative-L", "even-list-record",
+             "transition-number", "transition-level-string", "transition-missing-lines",
+             "line-shift-string", "line-label-number", "line-label-malformed",
+             "line-intensity-list", "line-intensity-string", "line-intensity-nan"],
+    )
+    def test_malformed_reference_value_is_data_error(self, capsys, tmp_path, name, corrupt):
+        self._assert_data_error(capsys, tmp_path, f"reference/{name}", corrupt, ["validate"])
+
+    @staticmethod
+    def _assert_data_error(capsys, tmp_path, name, corrupt, argv):
         workdir = tmp_path / "data"
         shutil.copytree(default_data_dir(), workdir)
         path = workdir / name
@@ -315,9 +348,11 @@ class TestValidate:
             ("levels_even.json", lambda p: p["levels"][-1].pop("shift_lower_J_MHz")),
             ("two_photon_lines.json", lambda p: p["transitions"].pop(0)),
             ("two_photon_lines.json", lambda p: p["transitions"][-1]["lines"].pop()),
+            ("two_photon_lines.json",
+             lambda p: p["transitions"][1]["lines"][0]["intensity"].pop("spsp")),
         ],
         ids=["odd-level", "odd-state", "odd-unknown-state", "even-level", "even-shift",
-             "transition", "line"],
+             "transition", "line", "line-token"],
     )
     def test_truncated_or_mismatched_fixture_fails(self, capsys, tmp_path, name, truncate):
         workdir = tmp_path / "data"

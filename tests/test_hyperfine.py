@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from h2plus import hyperfine
-from h2plus.angular import HalfInt, SpinOperator, minus_one_pow, spin_reduced_matrix, wigner6j
+from h2plus.angular import HalfInt, minus_one_pow, wigner6j
 from h2plus.hyperfine import (
     F_HALF,
     F_THREE_HALF,
@@ -27,6 +27,7 @@ from h2plus.hyperfine import (
     fit_even_coefficient,
     hfs_matrix_entries,
 )
+from spin_oracle import SpinOperator, spin_reduced_matrix
 
 SAMPLE = HyperfineCoefficients(900.0, 40.0, -40.0, 9.0, 6.0)
 

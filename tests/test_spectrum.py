@@ -15,7 +15,6 @@ from h2plus.spectrum import (
     convolve_profile,
     line_position_shift,
     spectrum_to_csv,
-    spectrum_to_dict,
     spectrum_to_json,
     two_photon_spectrum,
 )
@@ -230,7 +229,7 @@ class TestExports:
         assert len(dark) == 2
 
     def test_dict_mirrors_lines(self, spectra):
-        payload = spectrum_to_dict(spectra[0])
+        payload = json.loads(spectrum_to_json(spectra[0]))
         (row,) = payload["lines"]
         assert row["delta_f_MHz"] == 0.0
         assert row["intensity"]["spsp"] == 0.0

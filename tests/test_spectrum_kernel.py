@@ -2,20 +2,11 @@
 magnetic-sublevel oracle, on the bundled data and on a seeded synthetic set
 that also covers L' = L +/- 2."""
 
-import random
-
 import pytest
 
 from h2plus.angular import projections
-from h2plus.hyperfine import (
-    HyperfineCoefficients,
-    RoVibLevel,
-    diagonalize_even,
-    diagonalize_odd,
-)
 from h2plus.spectrum import two_photon_spectrum
 from h2plus.twophoton import (
-    OrbitalReducedElements,
     PolarizationPair,
     averaged_sq_matrix_element,
     polarized_matrix_element,
@@ -26,7 +17,6 @@ ALL_POLS = tuple(
     for a in ("sm", "pi", "sp")
     for b in ("sm", "pi", "sp")
 )
-SYNTHETIC_L_MAX = 7
 
 
 def _bundled_transitions(solved_levels, orbital_elements):
@@ -34,40 +24,6 @@ def _bundled_transitions(solved_levels, orbital_elements):
         (solved_levels[(lo.v, lo.L)], solved_levels[(up.v, up.L)], orb)
         for (lo, up), orb in sorted(orbital_elements.items())
     ]
-
-
-def _synthetic_level(rng, v, L):
-    if L % 2 == 0:
-        return diagonalize_even(L, rng.uniform(30.0, 45.0), v=v)
-    coefficients = HyperfineCoefficients(
-        b_f=rng.uniform(850.0, 950.0),
-        c_e=rng.uniform(30.0, 45.0),
-        c_i=rng.uniform(-0.05, -0.03),
-        d1=rng.uniform(100.0, 140.0),
-        d2=rng.uniform(-0.35, -0.25),
-    )
-    return diagonalize_odd(L, coefficients, v=v)
-
-
-def _synthetic_transitions(seed=20081):
-    """(0, L) -> (1, L') for L, L' <= 7 and L' - L in {0, +-2}, with random
-    level constants and orbital elements."""
-    rng = random.Random(seed)
-    levels = {
-        (v, L): _synthetic_level(rng, v, L)
-        for v in (0, 1)
-        for L in range(SYNTHETIC_L_MAX + 1)
-    }
-    transitions = []
-    for L in range(SYNTHETIC_L_MAX + 1):
-        for Lp in (L - 2, L, L + 2):
-            if not 0 <= Lp <= SYNTHETIC_L_MAX:
-                continue
-            q0 = rng.uniform(0.5, 2.0) if Lp == L else 0.0
-            q2 = rng.uniform(0.02, 1.0) if (L, Lp) != (0, 0) else 0.0
-            orb = OrbitalReducedElements(RoVibLevel(0, L), RoVibLevel(1, Lp), q0, q2)
-            transitions.append((levels[(0, L)], levels[(1, Lp)], orb))
-    return transitions
 
 
 def _sublevel_average(lower, upper, pol, orb):
@@ -78,11 +34,6 @@ def _sublevel_average(lower, upper, pol, orb):
         if abs(m_lower.twice) <= lower.j.twice:
             total += polarized_matrix_element(lower, m_lower, upper, m_upper, pol, orb) ** 2
     return total / (lower.j.twice + 1)
-
-
-@pytest.fixture(scope="module")
-def synthetic_transitions():
-    return _synthetic_transitions()
 
 
 def test_synthetic_set_covers_every_rank_path(synthetic_transitions):

@@ -24,6 +24,7 @@ from h2plus.twophoton import (
     SelectionRuleError,
     averaged_sq_matrix_element,
     hyperfine_reduced_q,
+    polarization_weights,
     polarized_matrix_element,
     reduced_from_intermediate_sums,
     selection_check,
@@ -109,6 +110,13 @@ class TestTensorCoefficients:
     def test_scalar_part_absent_for_circular_pairs(self):
         assert tensor_coefficients(SIGMA_PLUS_SIGMA_PLUS).a00 == 0.0
         assert tensor_coefficients(PolarizationPair(-1, -1)).a00 == 0.0
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.token)
+    def test_weights_are_computed_once_per_pair(self, pair):
+        coeffs = tensor_coefficients(pair)
+        weights = polarization_weights(pair)
+        assert weights == (coeffs.a00, coeffs.a2_at(pair.q_total))
+        assert polarization_weights(PolarizationPair(pair.q1, pair.q2)) is weights
 
 
 class TestReducedFromIntermediateSums:
