@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
@@ -244,11 +245,14 @@ def _half_int(text) -> HalfInt:
     return HalfInt.parse(str(text))
 
 
+_HALF_INT_TEXT = re.compile(r"\d+(/2)?")
+
+
 def _half_int_text(value) -> str:
-    """A half-integer string such as '3/2', in the form str(HalfInt) writes."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string such as '3/2', got {value!r}")
-    return str(HalfInt.parse(value))
+    """A non-negative half-integer label such as '2' or '3/2'."""
+    if not isinstance(value, str) or not _HALF_INT_TEXT.fullmatch(value):
+        raise ValueError(f"expected a half-integer such as '3/2', got {value!r}")
+    return value
 
 
 def _intensities(value) -> dict[str, float]:
