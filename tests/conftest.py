@@ -96,6 +96,15 @@ def solved_levels(coefficients):
 
 
 @pytest.fixture(scope="session")
+def bundled_transitions(solved_levels, orbital_elements):
+    """(lower, upper, orbital elements) of every shipped transition."""
+    return [
+        (solved_levels[(lo.v, lo.L)], solved_levels[(up.v, up.L)], orb)
+        for (lo, up), orb in sorted(orbital_elements.items())
+    ]
+
+
+@pytest.fixture(scope="session")
 def synthetic_transitions():
     """Seeded synthetic (lower, upper, orbital elements) triples, L <= 7."""
     return _synthetic_transitions()

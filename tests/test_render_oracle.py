@@ -119,18 +119,10 @@ def assert_writers_match_oracle(result):
             assert spectrum_to_csv(result, absolute) == oracle_csv(result, absolute)
 
 
-@pytest.fixture(scope="module")
-def transitions(solved_levels, orbital_elements, synthetic_transitions):
-    bundled = [
-        (solved_levels[(lo.v, lo.L)], solved_levels[(up.v, up.L)], orb)
-        for (lo, up), orb in sorted(orbital_elements.items())
-    ]
-    return bundled + synthetic_transitions
-
-
 @pytest.mark.parametrize("tokens", TOKEN_SETS.values(), ids=TOKEN_SETS)
-def test_writers_match_old_renderers(transitions, tokens):
+def test_writers_match_old_renderers(bundled_transitions, synthetic_transitions, tokens):
     pols = [PolarizationPair.from_token(token) for token in tokens]
+    transitions = bundled_transitions + synthetic_transitions
     for index, (lower_sol, upper_sol, orb) in enumerate(transitions):
         for center in (None, CENTER_MHZ + 1e3 * index):
             result = two_photon_spectrum(

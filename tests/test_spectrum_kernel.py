@@ -19,13 +19,6 @@ ALL_POLS = tuple(
 )
 
 
-def _bundled_transitions(solved_levels, orbital_elements):
-    return [
-        (solved_levels[(lo.v, lo.L)], solved_levels[(up.v, up.L)], orb)
-        for (lo, up), orb in sorted(orbital_elements.items())
-    ]
-
-
 def _sublevel_average(lower, upper, pol, orb):
     """(1/(2J+1)) sum over M, M' of |<gJM|T(q1,q2)|eJ'M'>|^2, with M = M' + q."""
     total = 0.0
@@ -43,13 +36,9 @@ def test_synthetic_set_covers_every_rank_path(synthetic_transitions):
 
 @pytest.mark.parametrize("source", ["bundled", "synthetic"])
 def test_intensities_match_closed_form_and_sublevel_oracle(
-    source, solved_levels, orbital_elements, synthetic_transitions
+    source, bundled_transitions, synthetic_transitions
 ):
-    transitions = (
-        _bundled_transitions(solved_levels, orbital_elements)
-        if source == "bundled"
-        else synthetic_transitions
-    )
+    transitions = bundled_transitions if source == "bundled" else synthetic_transitions
     bright = 0
     for lower_sol, upper_sol, orb in transitions:
         result = two_photon_spectrum(lower_sol, upper_sol, orb, ALL_POLS)
