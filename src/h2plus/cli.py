@@ -86,6 +86,8 @@ def _parse_pols(text: str) -> tuple[PolarizationPair, ...]:
             raise _UsageError(str(exc)) from None
     if not pols:
         raise _UsageError("at least one polarization pair is required")
+    if len(set(pols)) < len(pols):
+        raise _UsageError(f"repeated polarization token in {text!r}")
     return tuple(pols)
 
 

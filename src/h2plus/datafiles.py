@@ -85,6 +85,13 @@ def _read_json(path: Path) -> dict:
     return payload
 
 
+def _integer(value) -> int:
+    """A JSON integer as it parses: an int, not a float, a string or a bool."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _finite(value) -> float:
     number = float(value)
     if not math.isfinite(number):
@@ -116,6 +123,13 @@ def _checked(path: Path, record):
         raise DataError(f"{path}: invalid record {record}: {exc}") from None
 
 
+def _read_level(record: dict, path: Path, v_key: str = "v", l_key: str = "L") -> RoVibLevel:
+    with _checked(path, record):
+        return RoVibLevel(
+            _require(record, v_key, path, _integer), _require(record, l_key, path, _integer)
+        )
+
+
 @dataclass(frozen=True)
 class CoefficientRecord:
     """One fitted coefficient set with its provenance and fit residual."""
@@ -134,7 +148,7 @@ def load_coefficients(data_dir: str | os.PathLike | None = None) -> dict[RoVibLe
     table: dict[RoVibLevel, CoefficientRecord] = {}
     for record in _require(payload, "coefficients", path, list):
         with _checked(path, record):
-            level = RoVibLevel(_require(record, "v", path, int), _require(record, "L", path, int))
+            level = _read_level(record, path)
             coeffs = HyperfineCoefficients(
                 b_f=_require(record, "b_F", path, _finite),
                 c_e=_require(record, "c_e", path, _finite),
@@ -161,10 +175,8 @@ def load_orbital_elements(
     table: dict[tuple[RoVibLevel, RoVibLevel], OrbitalReducedElements] = {}
     for record in _require(payload, "elements", path, list):
         with _checked(path, record):
-            lower = RoVibLevel(_require(record, "v", path, int), _require(record, "L", path, int))
-            upper = RoVibLevel(
-                _require(record, "v_prime", path, int), _require(record, "L_prime", path, int)
-            )
+            lower = _read_level(record, path)
+            upper = _read_level(record, path, "v_prime", "L_prime")
             table[(lower, upper)] = OrbitalReducedElements(
                 lower=lower,
                 upper=upper,
@@ -182,7 +194,7 @@ def load_center_frequencies(data_dir: str | os.PathLike | None = None) -> dict[i
     payload = _read_json(path)
     table = {}
     for record in _require(payload, "centers", path, list):
-        table[_require(record, "L", path, int)] = {
+        table[_require(record, "L", path, _integer)] = {
             "nu_2ph_MHz": _require(record, "nu_2ph_MHz", path, _finite),
             "lambda_um": _require(record, "lambda_um", path, _finite),
         }
@@ -216,11 +228,6 @@ def solve_level(
 
 def _reference_path(data_dir, name: str) -> Path:
     return resolve_data_dir(data_dir) / "reference" / name
-
-
-def _read_level(record: dict, path: Path, v_key: str = "v", l_key: str = "L") -> RoVibLevel:
-    with _checked(path, record):
-        return RoVibLevel(_require(record, v_key, path, int), _require(record, l_key, path, int))
 
 
 def load_reference_levels_even(data_dir=None) -> list[dict]:

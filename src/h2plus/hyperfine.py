@@ -14,11 +14,14 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .angular import HalfInt
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RoVibLevel",
@@ -29,7 +32,6 @@ __all__ = [
     "FitError",
     "FitResult",
     "allowed_spin_states",
-    "build_hfs_matrix",
     "hfs_matrix_entries",
     "diagonalize_even",
     "diagonalize_odd",
@@ -90,9 +92,6 @@ class HyperfineCoefficients:
         for name in ("b_f", "c_e", "c_i", "d1", "d2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"coefficient {name} must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.b_f, self.c_e, self.c_i, self.d1, self.d2])
 
     @classmethod
     def from_array(cls, values) -> "HyperfineCoefficients":
@@ -223,22 +222,6 @@ def hfs_matrix_entries(L: int, c: HyperfineCoefficients) -> dict[str, float]:
     return entries
 
 
-def build_hfs_matrix(L: int, c: HyperfineCoefficients) -> np.ndarray:
-    """Full block-diagonal matrix of `hfs_matrix_entries` (5x5 for L=1,
-    6x6 for L>=3), over the same ordered basis as `allowed_spin_states`."""
-    e = hfs_matrix_entries(L, c)
-    n = 5 if L == 1 else 6
-    h = np.zeros((n, n))
-    h[0, 0] = e["A"]
-    h[1, 1], h[2, 2] = e["B"], e["D"]
-    h[1, 2] = h[2, 1] = e["C"]
-    h[3, 3], h[4, 4] = e["E"], e["H"]
-    h[3, 4] = h[4, 3] = e["G"]
-    if n == 6:
-        h[5, 5] = e["K"]
-    return h
-
-
 def diagonalize_even(L: int, c_e: float, v: int = 0) -> HyperfineSolution:
     """Hyperfine solution for an even-L level, where only c_e contributes.
 
@@ -338,7 +321,7 @@ _SHIFT_RESIDUAL_LIMIT_MHZ = 1e-3
 
 # Forward-difference step of the fit Jacobian, relative to max(|c|, 1): the
 # square root of the machine epsilon, as in MINPACK's lmdif.
-_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+_DIFF_STEP = math.sqrt(sys.float_info.epsilon)
 
 # Gauss-Newton steps allowed before the fit counts as not converged.
 _MAX_STEPS = 20
@@ -346,6 +329,8 @@ _MAX_STEPS = 20
 
 def _reconstruct_entries(L: int, observed: HyperfineSolution) -> dict[str, float]:
     """Rebuild the matrix entries A..K from observed shifts and mixings."""
+    import numpy as np
+
     tl = 2 * L
     entries = {"A": observed.state(F_THREE_HALF, HalfInt(tl + 3)).shift_mhz}
 
@@ -367,6 +352,8 @@ def _reconstruct_entries(L: int, observed: HyperfineSolution) -> dict[str, float
 
 def _linear_fit(L: int, observed: HyperfineSolution) -> np.ndarray:
     """Least-squares coefficients from the linearity of the matrix entries."""
+    import numpy as np
+
     target = _reconstruct_entries(L, observed)
     keys = sorted(target)
     design = np.zeros((len(keys), 5))
@@ -385,6 +372,8 @@ def _canonical_states(solution: HyperfineSolution) -> list[HyperfineEigenstate]:
 
 
 def _observation_vector(solution: HyperfineSolution) -> np.ndarray:
+    import numpy as np
+
     states = _canonical_states(solution)
     obs = [s.shift_mhz for s in states]
     for s in states:
@@ -406,7 +395,12 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
     result is deterministic.  Raises FitError if the residual norm is still
     falling after _MAX_STEPS steps, or if a shift residual exceeds
     _SHIFT_RESIDUAL_LIMIT_MHZ.
+
+    numpy is imported here and in its helpers only, so that solving levels
+    and computing spectra never load it.
     """
+    import numpy as np
+
     if L % 2 == 0:
         raise ValueError("fit_coefficients handles odd L; use fit_even_coefficient")
     expected_n = 5 if L == 1 else 6

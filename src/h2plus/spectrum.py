@@ -17,9 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .angular import HalfInt
 from .hyperfine import HyperfineEigenstate, HyperfineSolution, RoVibLevel
@@ -30,6 +28,9 @@ from .twophoton import (
     hyperfine_reduced_q,
     polarization_weights,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TransitionLine",
@@ -185,6 +186,8 @@ class FrequencyGrid:
             raise ValueError("grid stop must not precede its start")
 
     def frequencies(self) -> np.ndarray:
+        import numpy as np
+
         n = int(math.floor((self.stop_mhz - self.start_mhz) / self.step_mhz + 1e-9)) + 1
         return self.start_mhz + self.step_mhz * np.arange(n)
 
@@ -200,8 +203,11 @@ def convolve_profile(
     Each line contributes a peak-normalized Lorentzian of FWHM
     gamma_f/(2 pi) (converted to MHz) centered at its frequency shift, with
     peak height equal to the line intensity for the chosen polarization.
-    Returns (frequencies_MHz, samples).
+    Returns (frequencies_MHz, samples).  numpy is imported here and in
+    `FrequencyGrid.frequencies` only, so line lists never load it.
     """
+    import numpy as np
+
     if gamma_f_rad_s <= 0.0:
         raise ValueError(f"instrumental width must be positive, got {gamma_f_rad_s}")
     freqs = grid.frequencies()

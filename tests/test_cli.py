@@ -3,8 +3,12 @@
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -132,6 +136,16 @@ class TestSpectrum:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("pols", ["pipi,pipi", "pipi,smsp,pipi", "spsm,SPSM"])
+    def test_repeated_polarization_is_usage_error(self, capsys, pols):
+        code, out, err = run(
+            capsys, "spectrum", "--lower", "0,3", "--upper", "1,3", "--pol", pols,
+            "--format", "csv",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "repeated polarization token" in err
 
 
 RATE_FLAGS = {"--power": "10", "--waist": "1e-3", "--linewidth": "2600", "--qsq": "0.02"}
@@ -294,6 +308,23 @@ class TestMalformedData:
     def test_malformed_reference_value_is_data_error(self, capsys, tmp_path, name, corrupt):
         self._assert_data_error(capsys, tmp_path, f"reference/{name}", corrupt, ["validate"])
 
+    @pytest.mark.parametrize("value", [1.9, "1", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize(
+        "name,corrupt,argv",
+        [
+            ("orbital_reduced_elements.json",
+             lambda p, x: p["elements"][1].update(L=x, L_prime=x),
+             ["spectrum", "--lower", "0,1", "--upper", "1,1"]),
+            ("hyperfine_coefficients.json", lambda p, x: p["coefficients"][1].update(L=x),
+             ["levels", "--v", "0", "--L", "1"]),
+            ("center_frequencies.json", lambda p, x: p["centers"][1].update(L=x),
+             ["spectrum", "--lower", "0,1", "--upper", "1,1", "--absolute"]),
+        ],
+        ids=["orbital", "coefficients", "center"],
+    )
+    def test_non_integer_level_is_data_error(self, capsys, tmp_path, name, corrupt, argv, value):
+        self._assert_data_error(capsys, tmp_path, name, lambda p: corrupt(p, value), argv)
+
     @staticmethod
     def _assert_data_error(capsys, tmp_path, name, corrupt, argv):
         workdir = tmp_path / "data"
@@ -383,3 +414,70 @@ class TestUsage:
         monkeypatch.setenv(DATA_DIR_ENV_VAR, str(tmp_path))
         code, _, err = run(capsys, "levels", "--v", "0", "--L", "1")
         assert code == EXIT_DATA
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+ALL_TOKENS = "smsm,smpi,smsp,pism,pipi,pisp,spsm,sppi,spsp"
+
+
+def _env_with_path(*entries):
+    path = os.pathsep.join(filter(None, [*entries, str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.fixture(scope="module")
+def numpy_blocked_env(tmp_path_factory):
+    """An environment whose first PYTHONPATH entry is a `numpy` package
+    that raises ImportError, so a process that imports numpy fails."""
+    shadow = tmp_path_factory.mktemp("no_numpy")
+    (shadow / "numpy").mkdir()
+    (shadow / "numpy" / "__init__.py").write_text('raise ImportError("numpy is blocked")\n')
+    env = _env_with_path(str(shadow))
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True)
+    assert probe.returncode != 0
+    return env
+
+
+NO_NUMPY_ARGV = {
+    "levels-table": ["levels", "--v", "0", "--L", "1"],
+    "levels-json": ["levels", "--v", "1", "--L", "3", "--format", "json"],
+    **{
+        f"spectrum-{fmt}": ["spectrum", "--lower", "0,3", "--upper", "1,3",
+                            "--pol", ALL_TOKENS, "--format", fmt]
+        for fmt in ("table", "csv", "json")
+    },
+    "validate": ["validate"],
+    "rate": ["rate", *(item for pair in RATE_FLAGS.items() for item in pair), "--transverse"],
+    "cavity": ["cavity", "--reflectivity", "0.98", "--losses", "0.001"],
+}
+
+
+@pytest.mark.parametrize("argv", NO_NUMPY_ARGV.values(), ids=NO_NUMPY_ARGV.keys())
+def test_cli_runs_without_numpy(capsys, numpy_blocked_env, argv):
+    proc = subprocess.run([sys.executable, "-m", "h2plus.cli", *argv],
+                          env=numpy_blocked_env, capture_output=True)
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    assert main(argv) == EXIT_OK
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+def test_spectrum_path_loads_no_numpy():
+    script = (
+        "import sys\n"
+        "import h2plus\n"
+        "from h2plus.datafiles import load_coefficients, load_orbital_elements, solve_level\n"
+        "from h2plus.spectrum import spectrum_to_csv, spectrum_to_json, two_photon_spectrum\n"
+        "from h2plus.twophoton import PolarizationPair\n"
+        "pols = [PolarizationPair(q1, q2) for q1 in (-1, 0, 1) for q2 in (-1, 0, 1)]\n"
+        "coefficients = load_coefficients()\n"
+        "for (lower, upper), orb in load_orbital_elements().items():\n"
+        "    result = two_photon_spectrum(\n"
+        "        solve_level(lower.v, lower.L, coefficients=coefficients),\n"
+        "        solve_level(upper.v, upper.L, coefficients=coefficients), orb, pols)\n"
+        "    spectrum_to_csv(result)\n"
+        "    spectrum_to_json(result)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_env_with_path(), check=True)
+    assert proc.stdout == "False\n"

@@ -1,6 +1,6 @@
 """Byte-identical `h2plus spectrum` output for the four bundled transitions,
 all nine polarization pairs, in every output format, plus the absolute
-frequency column in CSV and JSON and a duplicated, unsorted token list.
+frequency column in CSV and JSON and an unsorted token list.
 
 The files under tests/golden/ were written by the per-pair kernel that
 called `averaged_sq_matrix_element` once per line and polarization, and by
@@ -18,7 +18,7 @@ from h2plus.cli import EXIT_OK, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ALL_TOKENS = "smsm,smpi,smsp,pism,pipi,pisp,spsm,sppi,spsp"
-DUPLICATE_TOKENS = "pipi,smsp,pipi"
+UNSORTED_TOKENS = "smsp,pipi,spsp"
 EXTENSIONS = {"table": "txt", "csv": "csv", "json": "json"}
 
 # (golden file name, L, format, --pol, --absolute)
@@ -29,8 +29,8 @@ CASES = [
 ] + [
     ("spectrum_L1_absolute.csv", 1, "csv", ALL_TOKENS, True),
     ("spectrum_L1_absolute.json", 1, "json", ALL_TOKENS, True),
-    ("spectrum_L3_duplicate_pols.csv", 3, "csv", DUPLICATE_TOKENS, False),
-    ("spectrum_L3_duplicate_pols.json", 3, "json", DUPLICATE_TOKENS, False),
+    ("spectrum_L3_unsorted_pols.csv", 3, "csv", UNSORTED_TOKENS, False),
+    ("spectrum_L3_unsorted_pols.json", 3, "json", UNSORTED_TOKENS, False),
 ]
 
 
