@@ -9,6 +9,7 @@ residuals recorded alongside each record.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ L0_PROVENANCE = (
 
 
 def main() -> int:
+    argparse.ArgumentParser(description=__doc__).parse_args()
     records = []
     for entry in load_reference_levels_even():
         L, v = entry["L"], entry["v"]

@@ -17,7 +17,6 @@ from .twophoton import (
     PolarizationPair,
     averaged_sq_matrix_element,
     polarized_matrix_element,
-    selection_check,
     tensor_coefficients,
 )
 from .spectrum import SpectrumResult, TransitionLine, two_photon_spectrum
@@ -40,7 +39,6 @@ __all__ = [
     "tensor_coefficients",
     "averaged_sq_matrix_element",
     "polarized_matrix_element",
-    "selection_check",
     "TransitionLine",
     "SpectrumResult",
     "two_photon_spectrum",

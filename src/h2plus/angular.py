@@ -29,8 +29,6 @@ __all__ = [
     "wigner3j",
     "wigner6j",
     "clebsch_gordan",
-    "projections",
-    "minus_one_pow",
 ]
 
 
@@ -119,22 +117,6 @@ class HalfInt:
 
 
 HalfIntLike = Union[HalfInt, int, float, Fraction]
-
-
-def projections(j: HalfIntLike) -> list[HalfInt]:
-    """All projections m = -j ... +j in unit steps."""
-    tj = HalfInt.of(j).twice
-    if tj < 0:
-        raise ValueError("magnitude j must be non-negative")
-    return [HalfInt(tm) for tm in range(-tj, tj + 1, 2)]
-
-
-def minus_one_pow(*values: HalfIntLike) -> int:
-    """(-1) raised to the sum of the arguments, which must be an integer."""
-    total = sum(HalfInt.of(v).twice for v in values)
-    if total % 2:
-        raise ValueError("phase exponent is not an integer")
-    return -1 if (total // 2) % 2 else 1
 
 
 def _check_magnitude(tj: int, name: str) -> None:

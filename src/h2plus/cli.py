@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_levels(args) -> int:
     if args.v < 0 or args.L < 0:
         raise _UsageError(f"v and L must be non-negative, got v={args.v}, L={args.L}")
-    solution = solve_level(args.v, args.L, data_dir=args.data_dir)
+    solution = solve_level(args.v, args.L, coefficients=load_coefficients(args.data_dir))
     if args.format == "json":
         payload = {
             "v": args.v,

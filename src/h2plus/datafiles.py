@@ -204,12 +204,9 @@ def load_center_frequencies(data_dir: str | os.PathLike | None = None) -> dict[i
 
 
 def solve_level(
-    v: int, L: int, data_dir: str | os.PathLike | None = None,
-    coefficients: dict[RoVibLevel, CoefficientRecord] | None = None,
+    v: int, L: int, coefficients: dict[RoVibLevel, CoefficientRecord]
 ) -> HyperfineSolution:
-    """Diagonalize the level (v, L) with the shipped coefficients."""
-    if coefficients is None:
-        coefficients = load_coefficients(data_dir)
+    """Diagonalize the level (v, L) with its coefficients from `load_coefficients`."""
     level = RoVibLevel(v, L)
     try:
         record = coefficients[level]

@@ -26,12 +26,10 @@ if TYPE_CHECKING:
 __all__ = [
     "RoVibLevel",
     "HyperfineCoefficients",
-    "SpinBasisState",
     "HyperfineEigenstate",
     "HyperfineSolution",
     "FitError",
     "FitResult",
-    "allowed_spin_states",
     "hfs_matrix_entries",
     "diagonalize_even",
     "diagonalize_odd",
@@ -68,12 +66,6 @@ class RoVibLevel:
         """Total nuclear spin: 0 for even L, 1 for odd L."""
         return self.L % 2
 
-    @property
-    def f_values(self) -> tuple[HalfInt, ...]:
-        if self.nuclear_spin == 0:
-            return (F_HALF,)
-        return (F_HALF, F_THREE_HALF)
-
 
 @dataclass(frozen=True)
 class HyperfineCoefficients:
@@ -97,19 +89,6 @@ class HyperfineCoefficients:
     def from_array(cls, values) -> "HyperfineCoefficients":
         b_f, c_e, c_i, d1, d2 = (float(x) for x in values)
         return cls(b_f, c_e, c_i, d1, d2)
-
-
-@dataclass(frozen=True)
-class SpinBasisState:
-    """A pure coupled state |L, S_e=1/2, I, F, J> (no projection)."""
-
-    L: int
-    I: int
-    F: HalfInt
-    J: HalfInt
-
-    def __str__(self) -> str:
-        return f"|L={self.L} I={self.I} F={self.F} J={self.J}>"
 
 
 @dataclass(frozen=True)
@@ -152,36 +131,6 @@ class HyperfineSolution:
             if s.f_tilde == f_tilde and s.j == j:
                 return s
         raise KeyError(f"no state (F~={f_tilde}, J={j}) in level {self.level}")
-
-
-def allowed_spin_states(L: int) -> list[SpinBasisState]:
-    """The pure coupled basis of a level with orbital momentum L.
-
-    Even L (I=0): F=1/2, J = L -/+ 1/2 (J=-1/2 dropped at L=0).
-    Odd L (I=1): F=1/2 with J = L -/+ 1/2 and F=3/2 with J = L-3/2 ... L+3/2
-    (J = L-3/2 dropped at L=1).  Ordered by descending J, then descending F.
-    """
-    if L < 0:
-        raise ValueError(f"L must be non-negative, got {L}")
-    tl = 2 * L
-    states: list[SpinBasisState] = []
-    if L % 2 == 0:
-        for tj in (tl + 1, tl - 1):
-            if tj >= 0:
-                states.append(SpinBasisState(L, 0, F_HALF, HalfInt(tj)))
-    else:
-        candidates = [
-            (tl + 3, F_THREE_HALF),
-            (tl + 1, F_THREE_HALF),
-            (tl + 1, F_HALF),
-            (tl - 1, F_THREE_HALF),
-            (tl - 1, F_HALF),
-            (tl - 3, F_THREE_HALF),
-        ]
-        for tj, f in candidates:
-            if tj >= 0:
-                states.append(SpinBasisState(L, 1, f, HalfInt(tj)))
-    return states
 
 
 def hfs_matrix_entries(L: int, c: HyperfineCoefficients) -> dict[str, float]:

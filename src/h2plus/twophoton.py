@@ -25,7 +25,6 @@ __all__ = [
     "OrbitalReducedElements",
     "IntermediateSums",
     "SelectionRuleError",
-    "SelectionVerdict",
     "tensor_coefficients",
     "polarization_weights",
     "averaged_from_reduced",
@@ -33,7 +32,6 @@ __all__ = [
     "hyperfine_reduced_q",
     "averaged_sq_matrix_element",
     "polarized_matrix_element",
-    "selection_check",
     "PI_PI",
     "SIGMA_PLUS_SIGMA_PLUS",
     "SIGMA_PLUS_SIGMA_MINUS",
@@ -313,54 +311,3 @@ def polarized_matrix_element(
             continue
         total += amplitude * geometry * hyperfine_reduced_q(k, lower, upper, orb)
     return total / math.sqrt(lower.j.twice + 1.0)
-
-
-@dataclass(frozen=True)
-class SelectionVerdict:
-    """Outcome of a selection-rule check.
-
-    `weak` marks transitions that survive only through F-state mixing.
-    `delta_m` is the required projection change M_J' - M_J for the pair.
-    """
-
-    allowed: bool
-    weak: bool = False
-    reason: str | None = None
-    delta_m: int = 0
-
-    def __bool__(self) -> bool:
-        return self.allowed
-
-
-def selection_check(
-    lower: HyperfineEigenstate,
-    upper: HyperfineEigenstate,
-    pair: PolarizationPair,
-) -> SelectionVerdict:
-    """Classify a hyperfine transition as allowed, weakly allowed (through
-    mixed states of different dominant F), or forbidden with a reason."""
-    q = pair.q_total
-    delta_m = -q
-    delta_l = abs(upper.level.L - lower.level.L)
-    if delta_l not in (0, 2):
-        return SelectionVerdict(False, reason=f"|delta L| = {delta_l} (must be 0 or 2)",
-                                delta_m=delta_m)
-    if lower.level.nuclear_spin != upper.level.nuclear_spin:
-        return SelectionVerdict(False, reason="total nuclear spin changes",
-                                delta_m=delta_m)
-    delta_j_twice = abs(upper.j.twice - lower.j.twice)
-    if delta_j_twice > 4:
-        return SelectionVerdict(False, reason=f"|delta J| = {HalfInt(delta_j_twice)} > 2",
-                                delta_m=delta_m)
-    if 2 * abs(q) > lower.j.twice + upper.j.twice:
-        return SelectionVerdict(
-            False,
-            reason=f"no sublevel pair with M_J' = M_J - {q} exists",
-            delta_m=delta_m,
-        )
-    if lower.f_tilde != upper.f_tilde:
-        if lower.is_pure and upper.is_pure:
-            return SelectionVerdict(False, reason="delta F != 0 between pure states",
-                                    delta_m=delta_m)
-        return SelectionVerdict(True, weak=True, delta_m=delta_m)
-    return SelectionVerdict(True, delta_m=delta_m)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .angular import HalfInt
 from .datafiles import (
     DataError,
     load_center_frequencies,
@@ -21,7 +21,6 @@ from .datafiles import (
     load_reference_levels_even,
     load_reference_levels_odd,
     load_reference_lines,
-    resolve_data_dir,
     default_data_dir,
     solve_level,
 )
@@ -99,10 +98,42 @@ def _row_count(name: str, rows: int) -> list[str]:
     return [f"reference fixture has {rows} {name}, expected {expected}"]
 
 
-def _check_even_levels(data_dir) -> CheckResult:
-    coefficients = load_coefficients(data_dir)
+class _Tables:
+    """The data files of one directory, each read and converted on first use,
+    so one validate run reads each file of the directory at most once."""
+
+    def __init__(self, data_dir):
+        self.data_dir = data_dir
+
+    @cached_property
+    def coefficients(self):
+        return load_coefficients(self.data_dir)
+
+    @cached_property
+    def orbital(self):
+        return load_orbital_elements(self.data_dir)
+
+    @cached_property
+    def centers(self):
+        return load_center_frequencies(self.data_dir)
+
+    @cached_property
+    def levels_even(self):
+        return load_reference_levels_even(self.data_dir)
+
+    @cached_property
+    def levels_odd(self):
+        return load_reference_levels_odd(self.data_dir)
+
+    @cached_property
+    def lines(self):
+        return load_reference_lines(self.data_dir)
+
+
+def _check_even_levels(active: _Tables, _bundled: _Tables) -> CheckResult:
+    coefficients = active.coefficients
     worst = 0.0
-    reference = load_reference_levels_even(data_dir)
+    reference = active.levels_even
     details = _row_count("even levels", len(reference))
     for entry in reference:
         v, L = entry["v"], entry["L"]
@@ -128,11 +159,11 @@ def _check_even_levels(data_dir) -> CheckResult:
     )
 
 
-def _check_odd_levels(data_dir) -> CheckResult:
-    coefficients = load_coefficients(data_dir)
+def _check_odd_levels(active: _Tables, _bundled: _Tables) -> CheckResult:
+    coefficients = active.coefficients
     worst_shift = 0.0
     worst_mix = 0.0
-    references = load_reference_levels_odd(data_dir)
+    references = active.levels_odd
     details = _row_count("odd levels", len(references))
     for reference in references:
         v, L = reference.level.v, reference.level.L
@@ -184,7 +215,7 @@ _EXPECTED_TENSOR = {
 }
 
 
-def _check_tensor(_data_dir) -> CheckResult:
+def _check_tensor(_active: _Tables, _bundled: _Tables) -> CheckResult:
     worst = 0.0
     details = []
     for token, (a2_expected, a00_expected) in _EXPECTED_TENSOR.items():
@@ -209,12 +240,12 @@ def _check_tensor(_data_dir) -> CheckResult:
     )
 
 
-def _check_spectra(data_dir) -> CheckResult:
-    coefficients = load_coefficients(data_dir)
-    orbital = load_orbital_elements(data_dir)
+def _check_spectra(active: _Tables, _bundled: _Tables) -> CheckResult:
+    coefficients = active.coefficients
+    orbital = active.orbital
     worst_shift = 0.0
     worst_strong = 0.0
-    transitions = load_reference_lines(data_dir)
+    transitions = active.lines
     details = _row_count("transitions", len(transitions))
     details += _row_count("lines", sum(len(t["lines"]) for t in transitions))
     for transition in transitions:
@@ -273,16 +304,16 @@ def _check_spectra(data_dir) -> CheckResult:
     )
 
 
-def _check_orbital_elements(data_dir) -> CheckResult:
-    bundled = load_orbital_elements(default_data_dir())
-    active = load_orbital_elements(data_dir)
+def _check_orbital_elements(active: _Tables, bundled: _Tables) -> CheckResult:
+    reference = bundled.orbital
+    ingested = active.orbital
     worst = 0.0
     details = []
-    for key, ref in bundled.items():
-        if key not in active:
+    for key, ref in reference.items():
+        if key not in ingested:
             details.append(f"missing orbital elements for {key}")
             continue
-        got = active[key]
+        got = ingested[key]
         dev = max(abs(got.q0 - ref.q0), abs(got.q2 - ref.q2))
         worst = max(worst, dev)
         if dev > 0.0:
@@ -297,16 +328,16 @@ def _check_orbital_elements(data_dir) -> CheckResult:
     )
 
 
-def _check_centers(data_dir) -> CheckResult:
-    bundled = load_center_frequencies(default_data_dir())
-    active = load_center_frequencies(data_dir)
+def _check_centers(active: _Tables, bundled: _Tables) -> CheckResult:
+    reference = bundled.centers
+    ingested = active.centers
     worst = 0.0
     details = []
-    for L, ref in bundled.items():
-        if L not in active:
+    for L, ref in reference.items():
+        if L not in ingested:
             details.append(f"missing center frequency for L={L}")
             continue
-        dev = abs(active[L]["nu_2ph_MHz"] - ref["nu_2ph_MHz"])
+        dev = abs(ingested[L]["nu_2ph_MHz"] - ref["nu_2ph_MHz"])
         worst = max(worst, dev)
         if dev > 0.0:
             details.append(f"L={L}: deviation {dev:.6f} MHz")
@@ -340,4 +371,5 @@ def run_checks(names=None, data_dir=None) -> list[CheckResult]:
         raise ValueError(
             f"unknown check(s) {unknown}; available: {', '.join(CHECK_NAMES)}"
         )
-    return [_CHECKS[name](data_dir) for name in selected]
+    active, bundled = _Tables(data_dir), _Tables(default_data_dir())
+    return [_CHECKS[name](active, bundled) for name in selected]

@@ -1,6 +1,7 @@
 """Reduced matrices of the electron and nuclear spin operators over the
 coupled-spin basis, the oracle that the hyperfine matrix-entry tests build
-L.S and L.I blocks from."""
+L.S and L.I blocks from, and the projection range and phase helpers that
+the magnetic-sublevel sums and tensor-algebra reconstructions use."""
 
 import math
 from enum import Enum
@@ -51,3 +52,19 @@ def spin_reduced_matrix(
         else _NUCLEAR_SPIN_REDUCED
     )
     return table[row][col]
+
+
+def projections(j: HalfIntLike) -> list[HalfInt]:
+    """All projections m = -j ... +j in unit steps."""
+    tj = HalfInt.of(j).twice
+    if tj < 0:
+        raise ValueError("magnitude j must be non-negative")
+    return [HalfInt(tm) for tm in range(-tj, tj + 1, 2)]
+
+
+def minus_one_pow(*values: HalfIntLike) -> int:
+    """(-1) raised to the sum of the arguments, which must be an integer."""
+    total = sum(HalfInt.of(v).twice for v in values)
+    if total % 2:
+        raise ValueError("phase exponent is not an integer")
+    return -1 if (total // 2) % 2 else 1

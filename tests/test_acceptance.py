@@ -11,12 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from h2plus.angular import HalfInt, projections, wigner3j, wigner6j
+from h2plus.angular import HalfInt, wigner3j, wigner6j
 from h2plus.datafiles import solve_level
 from h2plus.hyperfine import (
     F_HALF,
     F_THREE_HALF,
-    allowed_spin_states,
     diagonalize_even,
     diagonalize_odd,
     fit_coefficients,
@@ -40,7 +39,8 @@ from h2plus.twophoton import (
     tensor_coefficients,
 )
 from h2plus.validate import intensity_within_tolerance
-from matrix_oracle import build_hfs_matrix
+from matrix_oracle import allowed_spin_states, build_hfs_matrix
+from spin_oracle import projections
 
 PI_PI = PolarizationPair.from_token("pipi")
 SP_SP = PolarizationPair.from_token("spsp")

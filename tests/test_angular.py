@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 from h2plus.angular import (
     HalfInt,
     clebsch_gordan,
-    minus_one_pow,
-    projections,
     wigner3j,
     wigner6j,
 )
-from spin_oracle import SpinOperator, spin_reduced_matrix
+from spin_oracle import SpinOperator, minus_one_pow, projections, spin_reduced_matrix
 
 HALF = HalfInt(1)
 THREE_HALF = HalfInt(3)

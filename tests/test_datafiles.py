@@ -2,6 +2,10 @@
 
 import json
 import shutil
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +142,64 @@ class TestCorruptionDetection:
         path.write_text(json.dumps(payload))
         results = {r.name: r for r in run_checks(["odd-levels"], data_dir=workdir)}
         assert not results["odd-levels"].passed
+
+
+class TestValidateReads:
+    """One `run_checks` call reads each data file once."""
+
+    @staticmethod
+    def _reads(monkeypatch, names, data_dir) -> Counter:
+        from h2plus import datafiles
+        from h2plus.validate import run_checks
+
+        reads = Counter()
+        read_json = datafiles._read_json
+
+        def counting(path):
+            reads[path] += 1
+            return read_json(path)
+
+        monkeypatch.setattr(datafiles, "_read_json", counting)
+        run_checks(names, data_dir=data_dir)
+        return reads
+
+    def test_each_file_read_once(self, monkeypatch, tmp_path):
+        workdir = tmp_path / "data"
+        shutil.copytree(default_data_dir(), workdir)
+        reads = self._reads(monkeypatch, None, workdir)
+        bundled = default_data_dir()
+        expected = [
+            workdir / "hyperfine_coefficients.json",
+            workdir / "orbital_reduced_elements.json",
+            workdir / "center_frequencies.json",
+            workdir / "reference" / "levels_even.json",
+            workdir / "reference" / "levels_odd.json",
+            workdir / "reference" / "two_photon_lines.json",
+            bundled / "orbital_reduced_elements.json",
+            bundled / "center_frequencies.json",
+        ]
+        assert reads == Counter(expected)
+
+    def test_tensor_check_reads_nothing(self, monkeypatch):
+        assert self._reads(monkeypatch, ["tensor-coefficients"], None) == Counter()
+
+
+class TestBuildScript:
+    """scripts/build_coefficients.py writes the data file only when run
+    without arguments; it runs from a copy so the shipped file is never at
+    stake."""
+
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["--bogus"], 2)])
+    def test_arguments_never_overwrite(self, tmp_path, argv, code):
+        repo = Path(__file__).resolve().parents[1]
+        for name in ("scripts", "src"):
+            shutil.copytree(repo / name, tmp_path / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        target = tmp_path / "src" / "h2plus" / "data" / "hyperfine_coefficients.json"
+        before = target.read_bytes()
+        proc = subprocess.run(
+            [sys.executable, str(tmp_path / "scripts" / "build_coefficients.py"), *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert target.read_bytes() == before

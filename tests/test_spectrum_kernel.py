@@ -4,13 +4,13 @@ that also covers L' = L +/- 2."""
 
 import pytest
 
-from h2plus.angular import projections
 from h2plus.spectrum import two_photon_spectrum
 from h2plus.twophoton import (
     PolarizationPair,
     averaged_sq_matrix_element,
     polarized_matrix_element,
 )
+from spin_oracle import projections
 
 ALL_POLS = tuple(
     PolarizationPair.from_token(a + b)

@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from h2plus.angular import HalfInt, projections
+from h2plus.angular import HalfInt
 from h2plus.hyperfine import (
     F_HALF,
     F_THREE_HALF,
-    HyperfineCoefficients,
     HyperfineEigenstate,
     RoVibLevel,
     diagonalize_even,
@@ -27,9 +26,9 @@ from h2plus.twophoton import (
     polarization_weights,
     polarized_matrix_element,
     reduced_from_intermediate_sums,
-    selection_check,
     tensor_coefficients,
 )
+from spin_oracle import minus_one_pow, projections
 
 ALL_PAIRS = [PolarizationPair(q1, q2) for q1 in (-1, 0, 1) for q2 in (-1, 0, 1)]
 
@@ -203,7 +202,7 @@ class TestHyperfineReducedQ:
         g = lower.state(F_THREE_HALF, HalfInt(5))
         e = upper.state(F_THREE_HALF, HalfInt(5))
         assert g.coeffs == (0.0, 1.0) and e.coeffs == (0.0, 1.0)
-        from h2plus.angular import minus_one_pow, wigner6j
+        from h2plus.angular import wigner6j
 
         single = (
             minus_one_pow(e.j, 1, F_THREE_HALF, 0)
@@ -295,61 +294,3 @@ class TestPolarizedMatrixElement:
                     closed = averaged_sq_matrix_element(g, e, pair, ORB_L1)
                     assert brute == pytest.approx(closed, rel=1e-10, abs=1e-300)
 
-
-class TestSelectionCheck:
-    def test_delta_l_forbidden(self):
-        g = diagonalize_even(0, 0.0, v=0).states[0]
-        e = diagonalize_odd(1, HyperfineCoefficients(b_f=900.0), v=1).states[0]
-        verdict = selection_check(g, e, PI_PI)
-        assert not verdict
-        assert "delta L" in verdict.reason
-
-    def test_delta_j_forbidden(self, coefficients):
-        lower = solved(0, 3, coefficients[RoVibLevel(0, 3)].coefficients)
-        upper = solved(1, 3, coefficients[RoVibLevel(1, 3)].coefficients)
-        verdict = selection_check(
-            lower.state(F_THREE_HALF, HalfInt(9)),
-            upper.state(F_THREE_HALF, HalfInt(3)),
-            PI_PI,
-        )
-        assert not verdict.allowed
-        assert "delta J" in verdict.reason
-
-    def test_circular_pair_needs_room(self, l1_pair):
-        lower, upper = l1_pair
-        g = lower.state(F_THREE_HALF, HalfInt(1))
-        e = upper.state(F_THREE_HALF, HalfInt(1))
-        verdict = selection_check(g, e, SIGMA_PLUS_SIGMA_PLUS)
-        assert not verdict.allowed
-        assert "M_J" in verdict.reason
-        assert selection_check(g, e, PI_PI).allowed
-
-    def test_mixed_states_weakly_allowed(self, l1_pair):
-        lower, upper = l1_pair
-        verdict = selection_check(
-            lower.state(F_THREE_HALF, HalfInt(3)),
-            upper.state(F_HALF, HalfInt(3)),
-            PI_PI,
-        )
-        assert verdict.allowed and verdict.weak
-
-    def test_pure_states_delta_f_forbidden(self):
-        c = HyperfineCoefficients(b_f=900.0)  # no mixing at all
-        lower = diagonalize_odd(1, c, v=0)
-        upper = diagonalize_odd(1, c, v=1)
-        verdict = selection_check(
-            lower.state(F_THREE_HALF, HalfInt(3)),
-            upper.state(F_HALF, HalfInt(3)),
-            PI_PI,
-        )
-        assert not verdict.allowed
-        assert "delta F" in verdict.reason
-
-    def test_delta_m_reported(self, l1_pair):
-        lower, upper = l1_pair
-        g = lower.state(F_THREE_HALF, HalfInt(5))
-        e = upper.state(F_THREE_HALF, HalfInt(5))
-        assert selection_check(g, e, PI_PI).delta_m == 0
-        assert selection_check(g, e, SIGMA_PLUS_SIGMA_PLUS).delta_m == -2
-        assert selection_check(g, e, PolarizationPair(-1, -1)).delta_m == 2
-        assert selection_check(g, e, SIGMA_PLUS_SIGMA_MINUS).delta_m == 0
