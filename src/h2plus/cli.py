@@ -20,13 +20,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .datafiles import (
-    DataError,
-    load_center_frequencies,
-    load_coefficients,
-    load_orbital_elements,
-    solve_level,
-)
+from .datafiles import DataError, DataSet
 from .experiment import (
     CavityParams,
     LaserParams,
@@ -139,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_levels(args) -> int:
     if args.v < 0 or args.L < 0:
         raise _UsageError(f"v and L must be non-negative, got v={args.v}, L={args.L}")
-    solution = solve_level(args.v, args.L, coefficients=load_coefficients(args.data_dir))
+    solution = DataSet(args.data_dir).solve(RoVibLevel(args.v, args.L))
     if args.format == "json":
         payload = {
             "v": args.v,
@@ -179,32 +173,19 @@ def cmd_spectrum(args) -> int:
     v_lo, l_lo = _parse_level(args.lower)
     v_up, l_up = _parse_level(args.upper)
     pols = _parse_pols(args.pol)
-    coefficients = load_coefficients(args.data_dir)
-    orbital = load_orbital_elements(args.data_dir)
     lower, upper = RoVibLevel(v_lo, l_lo), RoVibLevel(v_up, l_up)
-    try:
-        orb = orbital[(lower, upper)]
-    except KeyError:
-        available = ", ".join(
-            f"({a.v},{a.L})->({b.v},{b.L})" for a, b in sorted(orbital)
-        )
-        raise DataError(
-            f"no orbital elements for ({v_lo},{l_lo})->({v_up},{l_up}); "
-            f"available: {available}"
-        ) from None
-
-    center = None
-    if v_lo == 0 and v_up == 1 and l_lo == l_up:
-        centers = load_center_frequencies(args.data_dir)
-        center = centers.get(l_lo, {}).get("nu_2ph_MHz")
+    data = DataSet(args.data_dir)
+    coefficients = data.coefficients  # read first: a missing directory names this file
+    orb = data.elements(lower, upper)
+    center = data.center(lower, upper)
     if args.absolute and center is None:
         raise DataError(
             f"no center frequency available for ({v_lo},{l_lo})->({v_up},{l_up})"
         )
 
     result = two_photon_spectrum(
-        solve_level(v_lo, l_lo, coefficients=coefficients),
-        solve_level(v_up, l_up, coefficients=coefficients),
+        data.solve(lower),
+        data.solve(upper),
         orb,
         pols,
         center_frequency_mhz=center,
@@ -271,6 +252,8 @@ def cmd_cavity(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.check and len(set(args.check)) < len(args.check):
+        raise _UsageError(f"repeated check in --check {' '.join(args.check)}")
     results = run_checks(args.check, data_dir=args.data_dir)
     for result in results:
         print(result.summary())

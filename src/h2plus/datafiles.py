@@ -8,6 +8,8 @@ validation command and the regression tests.
 
 The data directory is resolved from an explicit path, then the
 H2PLUS_DATA_DIR environment variable, then the package's bundled data.
+`DataSet` is the one reader of a directory for the command line and the
+validation checks: it reads each file on first use and at most once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -34,6 +37,7 @@ from .twophoton import OrbitalReducedElements
 
 __all__ = [
     "DataError",
+    "DataSet",
     "DATA_DIR_ENV_VAR",
     "default_data_dir",
     "resolve_data_dir",
@@ -114,6 +118,13 @@ def _require(record: dict, key: str, path: Path, kind=None):
         raise DataError(f"{path}: bad value for key {key!r} in {record}: {exc}") from None
 
 
+def _insert(table: dict, key, value, path: Path, label: str) -> None:
+    """table[key] = value, or a DataError if a record for `key` came before."""
+    if key in table:
+        raise DataError(f"{path}: repeated record for {label}")
+    table[key] = value
+
+
 @contextmanager
 def _checked(path: Path, record):
     """Turn a constructor's ValueError/TypeError on `record` into a DataError."""
@@ -121,6 +132,10 @@ def _checked(path: Path, record):
         yield
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid record {record}: {exc}") from None
+
+
+def _transition(lower: RoVibLevel, upper: RoVibLevel) -> str:
+    return f"({lower.v},{lower.L})->({upper.v},{upper.L})"
 
 
 def _read_level(record: dict, path: Path, v_key: str = "v", l_key: str = "L") -> RoVibLevel:
@@ -156,12 +171,13 @@ def load_coefficients(data_dir: str | os.PathLike | None = None) -> dict[RoVibLe
                 d1=_require(record, "d_1", path, _finite),
                 d2=_require(record, "d_2", path, _finite),
             )
-        table[level] = CoefficientRecord(
+        entry = CoefficientRecord(
             level=level,
             coefficients=coeffs,
             fit_residual_mhz=_require(record, "fit_residual_MHz", path, _finite),
             provenance=str(record.get("provenance", "")),
         )
+        _insert(table, level, entry, path, f"(v={level.v}, L={level.L})")
     if not table:
         raise DataError(f"{path}: no coefficient records")
     return table
@@ -177,12 +193,13 @@ def load_orbital_elements(
         with _checked(path, record):
             lower = _read_level(record, path)
             upper = _read_level(record, path, "v_prime", "L_prime")
-            table[(lower, upper)] = OrbitalReducedElements(
+            elements = OrbitalReducedElements(
                 lower=lower,
                 upper=upper,
                 q0=_require(record, "Q0", path, _finite),
                 q2=_require(record, "Q2", path, _finite),
             )
+        _insert(table, (lower, upper), elements, path, _transition(lower, upper))
     if not table:
         raise DataError(f"{path}: no orbital element records")
     return table
@@ -194,10 +211,12 @@ def load_center_frequencies(data_dir: str | os.PathLike | None = None) -> dict[i
     payload = _read_json(path)
     table = {}
     for record in _require(payload, "centers", path, list):
-        table[_require(record, "L", path, _integer)] = {
+        L = _require(record, "L", path, _integer)
+        center = {
             "nu_2ph_MHz": _require(record, "nu_2ph_MHz", path, _finite),
             "lambda_um": _require(record, "lambda_um", path, _finite),
         }
+        _insert(table, L, center, path, f"L={L}")
     if not table:
         raise DataError(f"{path}: no center frequency records")
     return table
@@ -310,3 +329,57 @@ def load_reference_lines(data_dir=None) -> list[dict]:
              "lines": lines}
         )
     return transitions
+
+
+class DataSet:
+    """The data files of one directory, resolved once into `path` and each
+    read and converted on first use, so a process reads every file it needs
+    exactly once.  Also the lookups the command line and the validation
+    checks share: a level's solution, a transition's orbital elements and
+    its center frequency."""
+
+    def __init__(self, data_dir: str | os.PathLike | None = None):
+        self.path = resolve_data_dir(data_dir)
+
+    @cached_property
+    def coefficients(self) -> dict[RoVibLevel, CoefficientRecord]:
+        return load_coefficients(self.path)
+
+    @cached_property
+    def orbital(self) -> dict[tuple[RoVibLevel, RoVibLevel], OrbitalReducedElements]:
+        return load_orbital_elements(self.path)
+
+    @cached_property
+    def centers(self) -> dict[int, dict]:
+        return load_center_frequencies(self.path)
+
+    @cached_property
+    def levels_even(self) -> list[dict]:
+        return load_reference_levels_even(self.path)
+
+    @cached_property
+    def levels_odd(self) -> list[HyperfineSolution]:
+        return load_reference_levels_odd(self.path)
+
+    @cached_property
+    def lines(self) -> list[dict]:
+        return load_reference_lines(self.path)
+
+    def solve(self, level: RoVibLevel) -> HyperfineSolution:
+        return solve_level(level.v, level.L, self.coefficients)
+
+    def elements(self, lower: RoVibLevel, upper: RoVibLevel) -> OrbitalReducedElements:
+        try:
+            return self.orbital[(lower, upper)]
+        except KeyError:
+            available = ", ".join(_transition(a, b) for a, b in sorted(self.orbital))
+            raise DataError(
+                f"no orbital elements for {_transition(lower, upper)}; available: {available}"
+            ) from None
+
+    def center(self, lower: RoVibLevel, upper: RoVibLevel) -> float | None:
+        """Per-photon center frequency (MHz) of a fundamental-band transition
+        (0, L) -> (1, L), or None for any other transition or a missing L."""
+        if (lower.v, upper.v) != (0, 1) or lower.L != upper.L:
+            return None
+        return self.centers.get(lower.L, {}).get("nu_2ph_MHz")

@@ -68,29 +68,23 @@ class LaserParams:
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Fabry-Perot cavity with two identical mirrors.
-
-    Reflectivity R, fractional losses P and transmission T satisfy
-    R + T + P = 1; T is derived unless supplied, in which case the closure
-    is checked to 1e-12.
-    """
+    """Fabry-Perot cavity with two identical mirrors of reflectivity R and
+    fractional losses P; the mirror transmission is T = 1 - R - P."""
 
     reflectivity: float
     losses: float
-    transmission: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"reflectivity must lie in [0, 1], got {self.reflectivity}")
         if not 0.0 <= self.losses <= 1.0:
             raise ValueError(f"losses must lie in [0, 1], got {self.losses}")
-        derived = 1.0 - self.reflectivity - self.losses
-        if self.transmission is None:
-            object.__setattr__(self, "transmission", derived)
-        elif abs(self.reflectivity + self.transmission + self.losses - 1.0) > 1e-12:
-            raise ValueError("R + T + P must equal 1")
         if self.transmission < 0.0:
             raise ValueError("R + P exceed 1: negative transmission")
+
+    @property
+    def transmission(self) -> float:
+        return 1.0 - self.reflectivity - self.losses
 
 
 def _finite_result(name: str, compute) -> float:
@@ -141,7 +135,7 @@ def transverse_field_decomposition(intensity_w_m2: float) -> tuple[float, float,
 
 def cavity_transmission(cavity: CavityParams) -> float:
     """Resonant transmission of the cavity: 1 / (1 + P/(1-R-P))^2."""
-    net = 1.0 - cavity.reflectivity - cavity.losses
+    net = cavity.transmission
     if net <= 0.0:
         raise ValueError("mirror transmission must be positive at resonance")
     return 1.0 / (1.0 + cavity.losses / net) ** 2
@@ -152,7 +146,7 @@ def cavity_isolation_db(cavity: CavityParams) -> float:
 
         -10 log10[(1-R-P)^2 / (1+R)^2]
     """
-    net = 1.0 - cavity.reflectivity - cavity.losses
+    net = cavity.transmission
     if net <= 0.0:
         raise ValueError("mirror transmission must be positive off resonance")
     return -10.0 * math.log10(net**2 / (1.0 + cavity.reflectivity) ** 2)

@@ -118,6 +118,8 @@ class OrbitalReducedElements:
     q2: float
 
     def __post_init__(self):
+        if self.lower == self.upper:
+            raise ValueError("lower and upper levels must differ")
         delta_l = abs(self.upper.L - self.lower.L)
         if delta_l not in (0, 2):
             raise SelectionRuleError(

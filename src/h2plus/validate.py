@@ -11,19 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .datafiles import (
-    DataError,
-    load_center_frequencies,
-    load_coefficients,
-    load_orbital_elements,
-    load_reference_levels_even,
-    load_reference_levels_odd,
-    load_reference_lines,
-    default_data_dir,
-    solve_level,
-)
+from .datafiles import DataSet, default_data_dir
 from .hyperfine import RoVibLevel
 from .spectrum import two_photon_spectrum
 from .twophoton import PolarizationPair, tensor_coefficients
@@ -98,46 +87,14 @@ def _row_count(name: str, rows: int) -> list[str]:
     return [f"reference fixture has {rows} {name}, expected {expected}"]
 
 
-class _Tables:
-    """The data files of one directory, each read and converted on first use,
-    so one validate run reads each file of the directory at most once."""
-
-    def __init__(self, data_dir):
-        self.data_dir = data_dir
-
-    @cached_property
-    def coefficients(self):
-        return load_coefficients(self.data_dir)
-
-    @cached_property
-    def orbital(self):
-        return load_orbital_elements(self.data_dir)
-
-    @cached_property
-    def centers(self):
-        return load_center_frequencies(self.data_dir)
-
-    @cached_property
-    def levels_even(self):
-        return load_reference_levels_even(self.data_dir)
-
-    @cached_property
-    def levels_odd(self):
-        return load_reference_levels_odd(self.data_dir)
-
-    @cached_property
-    def lines(self):
-        return load_reference_lines(self.data_dir)
-
-
-def _check_even_levels(active: _Tables, _bundled: _Tables) -> CheckResult:
-    coefficients = active.coefficients
+def _check_even_levels(active: DataSet, _bundled: DataSet) -> CheckResult:
+    active.coefficients  # read first: a missing directory names the coefficients file
     worst = 0.0
     reference = active.levels_even
     details = _row_count("even levels", len(reference))
     for entry in reference:
         v, L = entry["v"], entry["L"]
-        solution = solve_level(v, L, coefficients=coefficients)
+        solution = active.solve(RoVibLevel(v, L))
         expected = {2 * L + 1: entry["shift_upper_J_MHz"]}
         if "shift_lower_J_MHz" in entry:
             expected[2 * L - 1] = entry["shift_lower_J_MHz"]
@@ -159,15 +116,15 @@ def _check_even_levels(active: _Tables, _bundled: _Tables) -> CheckResult:
     )
 
 
-def _check_odd_levels(active: _Tables, _bundled: _Tables) -> CheckResult:
-    coefficients = active.coefficients
+def _check_odd_levels(active: DataSet, _bundled: DataSet) -> CheckResult:
+    active.coefficients  # read first: a missing directory names the coefficients file
     worst_shift = 0.0
     worst_mix = 0.0
     references = active.levels_odd
     details = _row_count("odd levels", len(references))
     for reference in references:
         v, L = reference.level.v, reference.level.L
-        solution = solve_level(v, L, coefficients=coefficients)
+        solution = active.solve(reference.level)
         if len(reference.states) != len(solution.states):
             details.append(
                 f"(v={v},L={L}): reference fixture has {len(reference.states)} "
@@ -215,7 +172,7 @@ _EXPECTED_TENSOR = {
 }
 
 
-def _check_tensor(_active: _Tables, _bundled: _Tables) -> CheckResult:
+def _check_tensor(_active: DataSet, _bundled: DataSet) -> CheckResult:
     worst = 0.0
     details = []
     for token, (a2_expected, a00_expected) in _EXPECTED_TENSOR.items():
@@ -240,9 +197,8 @@ def _check_tensor(_active: _Tables, _bundled: _Tables) -> CheckResult:
     )
 
 
-def _check_spectra(active: _Tables, _bundled: _Tables) -> CheckResult:
-    coefficients = active.coefficients
-    orbital = active.orbital
+def _check_spectra(active: DataSet, _bundled: DataSet) -> CheckResult:
+    active.coefficients, active.orbital  # read before the fixture, in the command's order
     worst_shift = 0.0
     worst_strong = 0.0
     transitions = active.lines
@@ -251,19 +207,8 @@ def _check_spectra(active: _Tables, _bundled: _Tables) -> CheckResult:
     for transition in transitions:
         lower = RoVibLevel(transition["v_lower"], transition["L_lower"])
         upper = RoVibLevel(transition["v_upper"], transition["L_upper"])
-        try:
-            orb = orbital[(lower, upper)]
-        except KeyError:
-            raise DataError(
-                f"no orbital elements for (v={lower.v},L={lower.L}) -> "
-                f"(v={upper.v},L={upper.L})"
-            ) from None
-        result = two_photon_spectrum(
-            solve_level(lower.v, lower.L, coefficients=coefficients),
-            solve_level(upper.v, upper.L, coefficients=coefficients),
-            orb,
-            STANDARD_POLS,
-        )
+        orb = active.elements(lower, upper)
+        result = two_photon_spectrum(active.solve(lower), active.solve(upper), orb, STANDARD_POLS)
         computed = {
             (str(ln.lower_f), str(ln.lower_j), str(ln.upper_f), str(ln.upper_j)): ln
             for ln in result.lines
@@ -304,7 +249,7 @@ def _check_spectra(active: _Tables, _bundled: _Tables) -> CheckResult:
     )
 
 
-def _check_orbital_elements(active: _Tables, bundled: _Tables) -> CheckResult:
+def _check_orbital_elements(active: DataSet, bundled: DataSet) -> CheckResult:
     reference = bundled.orbital
     ingested = active.orbital
     worst = 0.0
@@ -328,7 +273,7 @@ def _check_orbital_elements(active: _Tables, bundled: _Tables) -> CheckResult:
     )
 
 
-def _check_centers(active: _Tables, bundled: _Tables) -> CheckResult:
+def _check_centers(active: DataSet, bundled: DataSet) -> CheckResult:
     reference = bundled.centers
     ingested = active.centers
     worst = 0.0
@@ -371,5 +316,6 @@ def run_checks(names=None, data_dir=None) -> list[CheckResult]:
         raise ValueError(
             f"unknown check(s) {unknown}; available: {', '.join(CHECK_NAMES)}"
         )
-    active, bundled = _Tables(data_dir), _Tables(default_data_dir())
+    active = DataSet(data_dir)
+    bundled = active if active.path == default_data_dir() else DataSet(default_data_dir())
     return [_CHECKS[name](active, bundled) for name in selected]

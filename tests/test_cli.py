@@ -271,10 +271,22 @@ class TestMalformedData:
             ("center_frequencies.json", lambda p: p["centers"][0].update(L=[1, 2]),
              ["spectrum", "--lower", "0,0", "--upper", "1,0", "--absolute"]),
             ("reference/levels_odd.json", _drop_c1, ["validate"]),
+            ("orbital_reduced_elements.json", lambda p: p["elements"][0].update(v_prime=0),
+             ["spectrum", "--lower", "0,0", "--upper", "0,0"]),
+            ("hyperfine_coefficients.json",
+             lambda p: p["coefficients"].append(
+                 dict(p["coefficients"][1], b_F=p["coefficients"][1]["b_F"] + 100.0)),
+             ["levels", "--v", "0", "--L", "1"]),
+            ("orbital_reduced_elements.json",
+             lambda p: p["elements"].append(dict(p["elements"][1])),
+             ["spectrum", "--lower", "0,1", "--upper", "1,1"]),
+            ("center_frequencies.json", lambda p: p["centers"].append(dict(p["centers"][1])),
+             ["spectrum", "--lower", "0,1", "--upper", "1,1"]),
         ],
         ids=["coefficient-nan", "coefficients-top-level-list", "orbital-string",
              "orbital-nan", "orbital-selection-rule", "center-list-record", "center-list-value",
-             "reference-missing-c1"],
+             "reference-missing-c1", "orbital-same-level", "coefficients-repeated",
+             "orbital-repeated", "center-repeated"],
     )
     def test_malformed_value_is_data_error(self, capsys, tmp_path, name, corrupt, argv):
         self._assert_data_error(capsys, tmp_path, name, corrupt, argv)
@@ -355,6 +367,23 @@ class TestValidate:
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "validate", "--check", "bogus")
         assert code == EXIT_USAGE
+
+    def test_repeated_check_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "validate", "--check", "spectra", "--check", "spectra")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "repeated check" in err
+
+    def test_missing_orbital_elements_is_data_error(self, capsys, tmp_path):
+        workdir = tmp_path / "data"
+        shutil.copytree(default_data_dir(), workdir)
+        path = workdir / "orbital_reduced_elements.json"
+        payload = json.loads(path.read_text())
+        del payload["elements"][1]
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "validate", "--data-dir", str(workdir))
+        assert code == EXIT_DATA
+        assert err.startswith("data error: no orbital elements for (0,1)->(1,1); available: ")
 
     def test_corrupted_data_fails(self, capsys, tmp_path):
         workdir = tmp_path / "data"

@@ -1,6 +1,7 @@
 """Data file loading, directory resolution and schema validation."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -101,6 +102,29 @@ class TestCenters:
             assert lam == pytest.approx(entry["lambda_um"], abs=5e-4)
 
 
+class TestRepeatedRecords:
+    @pytest.mark.parametrize(
+        "name,key,load,label",
+        [
+            ("hyperfine_coefficients.json", "coefficients", load_coefficients,
+             "(v=0, L=1)"),
+            ("orbital_reduced_elements.json", "elements", load_orbital_elements,
+             "(0,1)->(1,1)"),
+            ("center_frequencies.json", "centers", load_center_frequencies, "L=1"),
+        ],
+        ids=["coefficients", "orbital", "centers"],
+    )
+    def test_repeated_record_is_data_error(self, tmp_path, name, key, load, label):
+        workdir = tmp_path / "data"
+        shutil.copytree(default_data_dir(), workdir)
+        path = workdir / name
+        payload = json.loads(path.read_text())
+        payload[key].append(dict(payload[key][1]))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=rf"{name}: repeated record for {re.escape(label)}$"):
+            load(workdir)
+
+
 class TestSolveLevel:
     def test_even_and_odd_dispatch(self, coefficients):
         even = solve_level(0, 2, coefficients=coefficients)
@@ -177,6 +201,20 @@ class TestValidateReads:
             workdir / "reference" / "two_photon_lines.json",
             bundled / "orbital_reduced_elements.json",
             bundled / "center_frequencies.json",
+        ]
+        assert reads == Counter(expected)
+
+    def test_default_data_read_once(self, monkeypatch):
+        monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
+        reads = self._reads(monkeypatch, None, None)
+        bundled = default_data_dir()
+        expected = [
+            bundled / "hyperfine_coefficients.json",
+            bundled / "orbital_reduced_elements.json",
+            bundled / "center_frequencies.json",
+            bundled / "reference" / "levels_even.json",
+            bundled / "reference" / "levels_odd.json",
+            bundled / "reference" / "two_photon_lines.json",
         ]
         assert reads == Counter(expected)
 

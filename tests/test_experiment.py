@@ -174,11 +174,7 @@ class TestCavity:
         with pytest.raises(ValueError):
             CavityParams(0.9, -0.1)
         with pytest.raises(ValueError):
-            CavityParams(0.9, 0.2, transmission=0.5)  # closure violated
-        with pytest.raises(ValueError):
             CavityParams(0.999, 0.002)  # R + P > 1
-        explicit = CavityParams(0.98, 0.001, transmission=0.019)
-        assert explicit.transmission == pytest.approx(0.019)
 
     def test_degenerate_mirrors_rejected(self):
         cavity = CavityParams(0.5, 0.5)  # zero transmission exactly
