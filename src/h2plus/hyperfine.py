@@ -16,12 +16,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from operator import mul
 
 from .angular import HalfInt
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "RoVibLevel",
@@ -276,60 +273,83 @@ _DIFF_STEP = math.sqrt(sys.float_info.epsilon)
 _MAX_STEPS = 20
 
 
+def _dot(a, b) -> float:
+    return math.fsum(map(mul, a, b))
+
+
+def _least_squares(columns: list[list[float]], rhs: list[float]) -> list[float]:
+    """Least-squares x minimizing |sum_j x[j] * columns[j] - rhs|.
+
+    Householder QR without column pivoting, every inner product summed with
+    math.fsum.  Raises FitError when a pivot vanishes to working precision,
+    i.e. when the columns are linearly dependent.
+    """
+    cols = [list(c) for c in columns]
+    b = list(rhs)
+    n = len(cols)
+    for k, col in enumerate(cols):
+        tail = col[k:]
+        norm = math.sqrt(_dot(tail, tail))
+        if not norm > len(b) * sys.float_info.epsilon * math.sqrt(_dot(columns[k], columns[k])):
+            raise FitError(f"least-squares system is rank deficient at column {k}")
+        alpha = -math.copysign(norm, tail[0])
+        v = [tail[0] - alpha, *tail[1:]]
+        vv = _dot(v, v)
+        for other in (*cols[k + 1:], b):
+            scale = 2.0 * _dot(v, other[k:]) / vv
+            other[k:] = [o - scale * vi for o, vi in zip(other[k:], v)]
+        col[k] = alpha
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        x[k] = (b[k] - math.fsum(cols[j][k] * x[j] for j in range(k + 1, n))) / cols[k][k]
+    return x
+
+
 def _reconstruct_entries(L: int, observed: HyperfineSolution) -> dict[str, float]:
     """Rebuild the matrix entries A..K from observed shifts and mixings."""
-    import numpy as np
-
     tl = 2 * L
     entries = {"A": observed.state(F_THREE_HALF, HalfInt(tl + 3)).shift_mhz}
 
     for key33, key11, key31, tj in (("B", "D", "C", tl + 1), ("E", "H", "G", tl - 1)):
         hi = observed.state(F_THREE_HALF, HalfInt(tj))
         lo = observed.state(F_HALF, HalfInt(tj))
-        v_hi = np.array([hi.c3, hi.c1])
-        v_lo = np.array([lo.c3, lo.c1])
-        v_hi = v_hi / np.linalg.norm(v_hi)
-        v_lo = v_lo / np.linalg.norm(v_lo)
-        block = hi.shift_mhz * np.outer(v_hi, v_hi) + lo.shift_mhz * np.outer(v_lo, v_lo)
-        entries[key33] = block[0, 0]
-        entries[key11] = block[1, 1]
-        entries[key31] = 0.5 * (block[0, 1] + block[1, 0])
+        norm_hi = math.hypot(hi.c3, hi.c1)
+        norm_lo = math.hypot(lo.c3, lo.c1)
+        hi3, hi1 = hi.c3 / norm_hi, hi.c1 / norm_hi
+        lo3, lo1 = lo.c3 / norm_lo, lo.c1 / norm_lo
+        entries[key33] = hi.shift_mhz * hi3 * hi3 + lo.shift_mhz * lo3 * lo3
+        entries[key11] = hi.shift_mhz * hi1 * hi1 + lo.shift_mhz * lo1 * lo1
+        entries[key31] = hi.shift_mhz * hi3 * hi1 + lo.shift_mhz * lo3 * lo1
     if L >= 3:
         entries["K"] = observed.state(F_THREE_HALF, HalfInt(tl - 3)).shift_mhz
     return entries
 
 
-def _linear_fit(L: int, observed: HyperfineSolution) -> np.ndarray:
+def _linear_fit(L: int, observed: HyperfineSolution) -> list[float]:
     """Least-squares coefficients from the linearity of the matrix entries."""
-    import numpy as np
-
     target = _reconstruct_entries(L, observed)
     keys = sorted(target)
-    design = np.zeros((len(keys), 5))
+    design = []
     for col in range(5):
-        unit = np.zeros(5)
+        unit = [0.0] * 5
         unit[col] = 1.0
         entries = hfs_matrix_entries(L, HyperfineCoefficients.from_array(unit))
-        design[:, col] = [entries[k] for k in keys]
-    rhs = np.array([target[k] for k in keys])
-    solution, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    return solution
+        design.append([entries[k] for k in keys])
+    return _least_squares(design, [target[k] for k in keys])
 
 
 def _canonical_states(solution: HyperfineSolution) -> list[HyperfineEigenstate]:
     return sorted(solution.states, key=lambda s: (-s.j.twice, -s.f_tilde.twice))
 
 
-def _observation_vector(solution: HyperfineSolution) -> np.ndarray:
-    import numpy as np
-
+def _observation_vector(solution: HyperfineSolution) -> list[float]:
     states = _canonical_states(solution)
     obs = [s.shift_mhz for s in states]
     for s in states:
         if s.j.twice in (2 * solution.level.L + 1, 2 * solution.level.L - 1):
             small = s.c1 if s.f_tilde == F_THREE_HALF else s.c3
             obs.append(_MIXING_WEIGHT * small)
-    return np.array(obs)
+    return obs
 
 
 def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
@@ -342,14 +362,9 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
     problem with a forward-difference Jacobian and is kept only if it lowers
     the residual norm; the first step that does not ends the polish, so the
     result is deterministic.  Raises FitError if the residual norm is still
-    falling after _MAX_STEPS steps, or if a shift residual exceeds
-    _SHIFT_RESIDUAL_LIMIT_MHZ.
-
-    numpy is imported here and in its helpers only, so that solving levels
-    and computing spectra never load it.
+    falling after _MAX_STEPS steps, if a least-squares system is rank
+    deficient, or if a shift residual exceeds _SHIFT_RESIDUAL_LIMIT_MHZ.
     """
-    import numpy as np
-
     if L % 2 == 0:
         raise ValueError("fit_coefficients handles odd L; use fit_even_coefficient")
     expected_n = 5 if L == 1 else 6
@@ -363,22 +378,23 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
     def residuals(params):
         predicted = diagonalize_odd(L, HyperfineCoefficients.from_array(params),
                                     v=observed.level.v)
-        return _observation_vector(predicted) - target
+        return [p - t for p, t in zip(_observation_vector(predicted), target)]
 
     params = _linear_fit(L, observed)
     res = residuals(params)
     for _ in range(_MAX_STEPS):
-        jac = np.empty((len(res), 5))
+        jac = []
         for col in range(5):
             h = _DIFF_STEP * max(abs(params[col]), 1.0)
-            shifted = params.copy()
+            shifted = list(params)
             shifted[col] += h
-            jac[:, col] = (residuals(shifted) - res) / h
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        trial = residuals(params + step)
-        if not trial @ trial < res @ res:
+            jac.append([(r - r0) / h for r, r0 in zip(residuals(shifted), res)])
+        step = _least_squares(jac, [-r for r in res])
+        trial_params = [p + s for p, s in zip(params, step)]
+        trial = residuals(trial_params)
+        if not _dot(trial, trial) < _dot(res, res):
             break
-        params, res = params + step, trial
+        params, res = trial_params, trial
     else:
         raise FitError(f"coefficient fit did not converge in {_MAX_STEPS} Gauss-Newton steps")
 
@@ -393,7 +409,7 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
         )
     return FitResult(
         coefficients=HyperfineCoefficients.from_array(params),
-        residual_norm_mhz=float(np.linalg.norm(res)),
+        residual_norm_mhz=math.sqrt(math.fsum(r * r for r in res)),
         max_shift_residual_mhz=max_shift,
         max_mixing_residual=mixing_res,
         shift_residuals_mhz=shift_res,

@@ -10,8 +10,10 @@ element and center-frequency files themselves.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
+from .angular import HalfInt
 from .datafiles import DataSet, default_data_dir
 from .hyperfine import RoVibLevel
 from .spectrum import two_photon_spectrum
@@ -38,9 +40,29 @@ SATELLITE_REL_TOLERANCE = 0.01
 SATELLITE_THRESHOLD = 1e-4
 TENSOR_TOLERANCE = 1e-14
 
-# Row counts of the bundled reference fixtures.  A check compares the rows it
-# read with these, so a truncated fixture fails instead of checking less.
-EXPECTED_ROWS = {"even levels": 4, "odd levels": 4, "transitions": 4, "lines": 66}
+# Keys of the bundled reference fixtures.  A check compares the keys it read
+# with these, so a missing, repeated or stray row fails instead of checking less.
+EVEN_LEVEL_KEYS = ((0, 0), (1, 0), (0, 2), (1, 2))
+ODD_LEVEL_KEYS = ((0, 1), (0, 3), (1, 1), (1, 3))
+TRANSITION_KEYS = tuple(((0, L), (1, L)) for L in (0, 2, 1, 3))
+
+
+def _sublevel_labels(L: int) -> list[tuple[str, str]]:
+    """(F~, J) of every hyperfine sublevel of an L level, as the fixtures
+    spell them: F = 1/2 for even L, F~ = 1/2 and 3/2 for odd L."""
+    f_tildes = [("1/2", (1, -1))]
+    if L % 2:
+        f_tildes.insert(0, ("3/2", (3, 1, -1, -3)))
+    return [(f, str(HalfInt(2 * L + dj))) for f, djs in f_tildes for dj in djs if 2 * L + dj > 0]
+
+
+# (F, J, F', J') of every line of each transition: 1 + 4 + 25 + 36 = 66.
+LINE_KEYS = {
+    (lower, upper): tuple(
+        (*lo, *up) for lo in _sublevel_labels(lower[1]) for up in _sublevel_labels(upper[1])
+    )
+    for lower, upper in TRANSITION_KEYS
+}
 
 STANDARD_POLS = (
     PolarizationPair.from_token("pipi"),
@@ -79,19 +101,30 @@ class CheckResult:
         )
 
 
-def _row_count(name: str, rows: int) -> list[str]:
-    """A detail line when a fixture holds other than its expected rows."""
-    expected = EXPECTED_ROWS[name]
-    if rows == expected:
-        return []
-    return [f"reference fixture has {rows} {name}, expected {expected}"]
+def _line_key(row: dict) -> tuple[str, str, str, str]:
+    return (row["F_lower"], row["J_lower"], row["F_upper"], row["J_upper"])
+
+
+def _key_details(what: str, expected, found) -> list[str]:
+    """A detail line for every expected key a fixture lacks, every key it
+    repeats and every key it should not hold."""
+    counts = Counter(found)
+    details = [f"reference fixture lacks {what} {key}" for key in expected if key not in counts]
+    for key, n in counts.items():
+        if n > 1:
+            details.append(f"reference fixture repeats {what} {key} ({n} rows)")
+        elif key not in expected:
+            details.append(f"reference fixture has unexpected {what} {key}")
+    return details
 
 
 def _check_even_levels(active: DataSet, _bundled: DataSet) -> CheckResult:
     active.coefficients  # read first: a missing directory names the coefficients file
     worst = 0.0
     reference = active.levels_even
-    details = _row_count("even levels", len(reference))
+    details = _key_details(
+        "even level (v, L)", EVEN_LEVEL_KEYS, [(e["v"], e["L"]) for e in reference]
+    )
     for entry in reference:
         v, L = entry["v"], entry["L"]
         solution = active.solve(RoVibLevel(v, L))
@@ -121,7 +154,9 @@ def _check_odd_levels(active: DataSet, _bundled: DataSet) -> CheckResult:
     worst_shift = 0.0
     worst_mix = 0.0
     references = active.levels_odd
-    details = _row_count("odd levels", len(references))
+    details = _key_details(
+        "odd level (v, L)", ODD_LEVEL_KEYS, [(r.level.v, r.level.L) for r in references]
+    )
     for reference in references:
         v, L = reference.level.v, reference.level.L
         solution = active.solve(reference.level)
@@ -202,11 +237,19 @@ def _check_spectra(active: DataSet, _bundled: DataSet) -> CheckResult:
     worst_shift = 0.0
     worst_strong = 0.0
     transitions = active.lines
-    details = _row_count("transitions", len(transitions))
-    details += _row_count("lines", sum(len(t["lines"]) for t in transitions))
-    for transition in transitions:
-        lower = RoVibLevel(transition["v_lower"], transition["L_lower"])
-        upper = RoVibLevel(transition["v_upper"], transition["L_upper"])
+    keys = [
+        ((t["v_lower"], t["L_lower"]), (t["v_upper"], t["L_upper"])) for t in transitions
+    ]
+    details = _key_details("transition", TRANSITION_KEYS, keys)
+    for key, transition in zip(keys, transitions):
+        if key in LINE_KEYS:
+            details += _key_details(
+                f"{key[0]}->{key[1]} line (F, J, F', J')",
+                LINE_KEYS[key],
+                [_line_key(row) for row in transition["lines"]],
+            )
+        lower = RoVibLevel(*key[0])
+        upper = RoVibLevel(*key[1])
         orb = active.elements(lower, upper)
         result = two_photon_spectrum(active.solve(lower), active.solve(upper), orb, STANDARD_POLS)
         computed = {
@@ -214,7 +257,7 @@ def _check_spectra(active: DataSet, _bundled: DataSet) -> CheckResult:
             for ln in result.lines
         }
         for row in transition["lines"]:
-            key = (row["F_lower"], row["J_lower"], row["F_upper"], row["J_upper"])
+            key = _line_key(row)
             line = computed.get(key)
             if line is None:
                 details.append(f"L={lower.L}: no computed line for {key}")

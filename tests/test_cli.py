@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from h2plus.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from h2plus.datafiles import default_data_dir
+from h2plus.validate import run_checks
 
 
 def run(capsys, *argv):
@@ -425,6 +426,35 @@ class TestValidate:
         assert code == EXIT_VALIDATION
         assert "1 of 6 checks failed" in out
 
+    @pytest.mark.parametrize(
+        "name,rows,copied,missing,repeated",
+        [
+            ("levels_even.json", lambda p: p["levels"], 1,
+             "even level (v, L) (0, 0)", "even level (v, L) (1, 0)"),
+            ("levels_odd.json", lambda p: p["levels"], 2,
+             "odd level (v, L) (0, 1)", "odd level (v, L) (1, 1)"),
+            ("two_photon_lines.json", lambda p: p["transitions"][2]["lines"], 1,
+             "(0, 1)->(1, 1) line (F, J, F', J') ('3/2', '3/2', '1/2', '3/2')",
+             "(0, 1)->(1, 1) line (F, J, F', J') ('3/2', '5/2', '1/2', '3/2')"),
+        ],
+        ids=["even-level", "odd-level", "line-label"],
+    )
+    def test_repeated_fixture_row_fails(self, capsys, tmp_path, name, rows, copied, missing,
+                                        repeated):
+        # Overwriting row 0 with a copy of another keeps the row count, so only
+        # a check by key sees that row 0 is gone.
+        workdir = tmp_path / "data"
+        shutil.copytree(default_data_dir(), workdir)
+        path = workdir / "reference" / name
+        payload = json.loads(path.read_text())
+        rows(payload)[0] = rows(payload)[copied]
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "validate", "--data-dir", str(workdir))
+        assert code == EXIT_VALIDATION
+        assert "1 of 6 checks failed" in out
+        assert f"    reference fixture lacks {missing}\n" in out
+        assert f"    reference fixture repeats {repeated} (2 rows)\n" in out
+
     def test_missing_data_dir_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", "--data-dir", str(tmp_path / "nope"))
         assert code == EXIT_DATA
@@ -510,3 +540,22 @@ def test_spectrum_path_loads_no_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_env_with_path(), check=True)
     assert proc.stdout == "False\n"
+
+
+def test_refit_without_numpy_passes_validate(numpy_blocked_env, tmp_path):
+    """The coefficient build script, run from a copy so the shipped file is
+    never at stake, fits all eight reference levels with numpy blocked, and
+    the data directory it rewrote passes every check."""
+    for name in ("scripts", "src"):
+        shutil.copytree(SRC_DIR.parent / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    data = tmp_path / "src" / "h2plus" / "data"
+    (data / "hyperfine_coefficients.json").unlink()
+    proc = subprocess.run([sys.executable, str(tmp_path / "scripts" / "build_coefficients.py")],
+                          env=numpy_blocked_env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads((data / "hyperfine_coefficients.json").read_text())["coefficients"]
+    assert sorted((r["v"], r["L"]) for r in records) == [
+        (v, L) for v in (0, 1) for L in range(4)
+    ]
+    assert all(result.passed for result in run_checks(data_dir=data))
