@@ -47,6 +47,8 @@ EXIT_DATA = 2
 EXIT_VALIDATION = 3
 
 DEFAULT_POLS = "pipi,spsp,spsm"
+# `validate` prints at most this many details per check, then counts the rest
+MAX_DETAILS = 10
 
 
 class _UsageError(Exception):
@@ -257,8 +259,10 @@ def cmd_validate(args) -> int:
     results = run_checks(args.check, data_dir=args.data_dir)
     for result in results:
         print(result.summary())
-        for detail in result.details[:10]:
+        for detail in result.details[:MAX_DETAILS]:
             print(f"    {detail}")
+        if len(result.details) > MAX_DETAILS:
+            print(f"    ... and {len(result.details) - MAX_DETAILS} more")
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed")

@@ -126,22 +126,30 @@ def two_photon_spectrum(
     The polarization weights (a00, a(2)_q) come from the per-process cache
     of `polarization_weights`, the reduced elements <gJ||Q(k)||eJ'> are
     computed once per line and rank, and each intensity once per line and
-    polarization from those numbers through the same `averaged_from_reduced`
-    as `averaged_sq_matrix_element`, so both give identical floats.
+    distinct weight pair from those numbers through the same
+    `averaged_from_reduced` as `averaged_sq_matrix_element`, so both give
+    identical floats.  The nine pairs carry four distinct weight pairs.
     """
     if lower_sol.level == upper_sol.level:
         raise ValueError("lower and upper levels must differ")
     pols = tuple(pols)
-    weights = [polarization_weights(pol) for pol in pols]
+    # Pairs whose weights compare equal share one intensity.  The weights
+    # enter only squared, so even 0.0 and -0.0 would give the same float.
+    distinct: dict[tuple[float, float], int] = {}
+    slots = [
+        (pol, distinct.setdefault(polarization_weights(pol), len(distinct)))
+        for pol in pols
+    ]
     lines = []
     for lo in lower_sol.states:
         for up in upper_sol.states:
             reduced0 = hyperfine_reduced_q(0, lo, up, orb)
             reduced2 = hyperfine_reduced_q(2, lo, up, orb)
-            intensity = {
-                pol: averaged_from_reduced(a00, a2, reduced0, reduced2, lo.j.twice)
-                for pol, (a00, a2) in zip(pols, weights)
-            }
+            values = [
+                averaged_from_reduced(a00, a2, reduced0, reduced2, lo.j.twice)
+                for a00, a2 in distinct
+            ]
+            intensity = {pol: values[slot] for pol, slot in slots}
             lines.append(
                 TransitionLine(
                     lower_f=lo.f_tilde,
@@ -243,6 +251,26 @@ def _json_object(members: Iterable[tuple[str, str]], indent: str) -> str:
     return f"{{\n{body}\n{indent}}}"
 
 
+class _Texts(dict):
+    """The text of each distinct value, formatted on first use.
+
+    Values key the memo, so floats that compare equal share one text.  Of
+    those, only 0.0 and -0.0 can be written differently, so a zero is
+    formatted every time and never stored.  A NaN equals no other NaN, so
+    it shares its text only with itself.
+    """
+
+    def __init__(self, format_value):
+        super().__init__()
+        self.format_value = format_value
+
+    def __missing__(self, value: float) -> str:
+        text = self.format_value(value)
+        if value:
+            self[value] = text
+        return text
+
+
 def _json_level(level: RoVibLevel) -> str:
     return _json_object((("L", str(level.L)), ("v", str(level.v))), "  ")
 
@@ -262,6 +290,7 @@ def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
             raise ValueError("no center frequency available for absolute output")
         header.append("absolute_f_MHz")
     rows = [",".join(header)]
+    texts = _Texts(format_intensity)
     prefix = f"{result.lower.L},{result.lower.v}"
     for line in result.lines:
         row = [
@@ -272,7 +301,7 @@ def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
             str(line.upper_j),
             format_shift(line.delta_f_mhz),
         ]
-        row += [format_intensity(line.intensity[pol]) for pol in result.pols]
+        row += [texts[line.intensity[pol]] for pol in result.pols]
         if absolute:
             row.append(format_shift(center + line.delta_f_mhz))
         rows.append(",".join(row))
@@ -293,12 +322,13 @@ def spectrum_to_json(result: SpectrumResult, absolute: bool = False) -> str:
     # one "key": prefix per distinct token, in sorted-token order
     by_token = sorted({pol.token: pol for pol in result.pols}.items())
     keys = [(f"\n        {_json_string(token)}: ", pol) for token, pol in by_token]
+    texts = _Texts(lambda value: _json_float(float(f"{value:.{digits}e}")))
     lines = []
     for line in result.lines:
         intensity = (
             "{"
             + ",".join(
-                key + _json_float(float(f"{line.intensity[pol]:.{digits}e}"))
+                key + texts[line.intensity[pol]]
                 for key, pol in keys
             )
             + "\n      }"

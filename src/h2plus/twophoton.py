@@ -38,48 +38,76 @@ __all__ = [
 ]
 
 _COMPONENT_NAMES = {-1: "sm", 0: "pi", 1: "sp"}
-_COMPONENT_VALUES = {name: q for q, name in _COMPONENT_NAMES.items()}
 
 
 class SelectionRuleError(ValueError):
     """A requested coupling violates a structural selection rule."""
 
 
-@dataclass(frozen=True, order=True)
 class PolarizationPair:
     """Standard polarization components (q1, q2) of the two absorbed photons:
-    sigma- (q=-1), pi (q=0), sigma+ (q=+1)."""
+    sigma- (q=-1), pi (q=0), sigma+ (q=+1).
 
+    The nine pairs are built once at import and are immutable; construction,
+    `from_token`, pickle and copy return one of them.  So equality and
+    hashing are the inherited identity ones, which run in C.
+    """
+
+    __slots__ = ("q1", "q2", "token")
     q1: int
     q2: int
+    token: str
 
-    def __post_init__(self):
-        for q in (self.q1, self.q2):
-            if q not in (-1, 0, 1):
-                raise ValueError(f"polarization component must be -1, 0 or +1, got {q}")
+    def __new__(cls, q1: int, q2: int) -> "PolarizationPair":
+        try:
+            return _PAIRS[q1, q2]
+        except (KeyError, TypeError):
+            bad = next(q for q in (q1, q2) if q not in (-1, 0, 1))
+            raise ValueError(
+                f"polarization component must be -1, 0 or +1, got {bad}"
+            ) from None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PolarizationPair, (self.q1, self.q2)
 
     @property
     def q_total(self) -> int:
         return self.q1 + self.q2
 
-    @property
-    def token(self) -> str:
-        return _COMPONENT_NAMES[self.q1] + _COMPONENT_NAMES[self.q2]
-
     @classmethod
     def from_token(cls, token: str) -> "PolarizationPair":
         """Parse tokens like 'pipi', 'spsp', 'spsm', 'pisp'."""
-        t = token.strip().lower()
-        if len(t) == 4 and t[:2] in _COMPONENT_VALUES and t[2:] in _COMPONENT_VALUES:
-            return cls(_COMPONENT_VALUES[t[:2]], _COMPONENT_VALUES[t[2:]])
-        raise ValueError(f"unknown polarization token {token!r}")
+        try:
+            return _PAIRS_BY_TOKEN[token.strip().lower()]
+        except KeyError:
+            raise ValueError(f"unknown polarization token {token!r}") from None
 
     def swapped(self) -> "PolarizationPair":
-        return PolarizationPair(self.q2, self.q1)
+        return _PAIRS[self.q2, self.q1]
+
+    def __repr__(self) -> str:
+        return f"PolarizationPair(q1={self.q1}, q2={self.q2})"
 
     def __str__(self) -> str:
         return self.token
 
+
+def _make_pair(q1: int, q2: int) -> PolarizationPair:
+    pair = object.__new__(PolarizationPair)
+    object.__setattr__(pair, "q1", q1)
+    object.__setattr__(pair, "q2", q2)
+    object.__setattr__(pair, "token", _COMPONENT_NAMES[q1] + _COMPONENT_NAMES[q2])
+    return pair
+
+
+_PAIRS = {(q1, q2): _make_pair(q1, q2) for q1 in (-1, 0, 1) for q2 in (-1, 0, 1)}
+_PAIRS_BY_TOKEN = {pair.token: pair for pair in _PAIRS.values()}
 
 PI_PI = PolarizationPair(0, 0)
 SIGMA_PLUS_SIGMA_PLUS = PolarizationPair(1, 1)

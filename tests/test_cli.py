@@ -455,6 +455,24 @@ class TestValidate:
         assert f"    reference fixture lacks {missing}\n" in out
         assert f"    reference fixture repeats {repeated} (2 rows)\n" in out
 
+    def test_dropped_details_are_counted(self, capsys, tmp_path):
+        # The (0,3)->(1,3) list keeps 4 of its 36 rows: 32 details, 10 printed.
+        workdir = tmp_path / "data"
+        shutil.copytree(default_data_dir(), workdir)
+        path = workdir / "reference" / "two_photon_lines.json"
+        payload = json.loads(path.read_text())
+        transition = next(t for t in payload["transitions"] if t["L_lower"] == 3)
+        del transition["lines"][4:]
+        path.write_text(json.dumps(payload))
+        (failed,) = run_checks(["spectra"], data_dir=workdir)
+        assert len(failed.details) == 32
+        code, out, _ = run(capsys, "validate", "--data-dir", str(workdir), "--check", "spectra")
+        assert code == EXIT_VALIDATION
+        printed = out.splitlines()
+        assert printed[1:11] == [f"    {detail}" for detail in failed.details[:10]]
+        assert printed[11] == "    ... and 22 more"
+        assert printed[12] == "1 of 1 checks failed"
+
     def test_missing_data_dir_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", "--data-dir", str(tmp_path / "nope"))
         assert code == EXIT_DATA

@@ -157,3 +157,49 @@ def test_non_finite_values_are_written_as_json_dumps_writes_them(value):
 def test_empty_line_list():
     result = SpectrumResult(RoVibLevel(0, 0), RoVibLevel(1, 0), (), ())
     assert_writers_match_oracle(result)
+
+
+def _hand_built(lines, pols):
+    return SpectrumResult(RoVibLevel(0, 1), RoVibLevel(1, 1), lines, pols, CENTER_MHZ)
+
+
+PIPI, SPSP, SMSM, PISP = (PolarizationPair.from_token(t) for t in ("pipi", "spsp", "smsm", "pisp"))
+
+
+def test_signed_zeros_are_written_apart():
+    # 0.0 == -0.0, but JSON writes them as "0.0" and "-0.0"
+    result = _hand_built(
+        (_line(-1.5, {PIPI: 0.0, SPSP: -0.0}), _line(2.0, {PIPI: -0.0, SPSP: 0.0})),
+        (PIPI, SPSP),
+    )
+    assert_writers_match_oracle(result)
+    text = spectrum_to_json(result)
+    assert '"pipi": 0.0' in text and '"spsp": -0.0' in text
+    assert '"pipi": -0.0' in text and '"spsp": 0.0' in text
+
+
+def test_shared_values_across_pairs_and_lines():
+    shared, other = 1.2345678e-6, 9.87e-7
+    result = _hand_built(
+        (
+            _line(-3.0, {PIPI: shared, SPSP: shared, SMSM: other, PISP: shared}),
+            _line(-1.0, {PIPI: other, SPSP: shared, SMSM: other, PISP: 0.0}),
+            _line(4.0, {PIPI: shared, SPSP: -0.0, SMSM: shared, PISP: other}),
+        ),
+        (PISP, SPSP, PIPI, SMSM),
+    )
+    assert_writers_match_oracle(result)
+
+
+def test_nan_in_two_objects():
+    first, second = float("nan"), float("nan")
+    assert first is not second
+    result = _hand_built(
+        (
+            _line(-1.0, {PIPI: first, SPSP: second}),
+            _line(1.0, {PIPI: second, SPSP: 0.5}),
+            _line(3.0, {PIPI: 0.5, SPSP: first}),
+        ),
+        (PIPI, SPSP),
+    )
+    assert_writers_match_oracle(result)

@@ -1,6 +1,8 @@
 """Two-photon amplitudes: polarization tensors, reduced elements, averages."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -68,6 +70,31 @@ class TestPolarizationPair:
 
     def test_swap(self):
         assert PolarizationPair(0, 1).swapped() == PolarizationPair(1, 0)
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=str)
+    def test_one_instance_per_pair(self, pair):
+        assert PolarizationPair(pair.q1, pair.q2) is PolarizationPair.from_token(pair.token)
+        assert PolarizationPair.from_token(pair.token.upper()) is pair
+        assert pair.swapped().swapped() is pair
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=str)
+    def test_pickle_and_copy_keep_the_instance(self, pair):
+        assert pickle.loads(pickle.dumps(pair)) is pair
+        assert copy.copy(pair) is pair
+        assert copy.deepcopy(pair) is pair
+        assert copy.deepcopy({pair: [pair]}) == {pair: [pair]}
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            PI_PI.q1 = 1
+        with pytest.raises(AttributeError):
+            del PI_PI.token
+        assert PI_PI.token == "pipi"
+
+    def test_fresh_construction_finds_dict_key(self):
+        assert {PI_PI: "found"}[PolarizationPair(0, 0)] == "found"
+        assert hash(PolarizationPair(0, 0)) == hash(PI_PI)
+        assert PolarizationPair(0, 1) != PolarizationPair(1, 0)
 
 
 class TestTensorCoefficients:
