@@ -80,7 +80,7 @@ class TransitionLine:
     @property
     def dark(self) -> bool:
         """True when every requested polarization has zero intensity."""
-        return all(v == 0.0 for v in self.intensity.values())
+        return not any(self.intensity.values())
 
     def label(self) -> str:
         return (
@@ -251,24 +251,48 @@ def _json_object(members: Iterable[tuple[str, str]], indent: str) -> str:
     return f"{{\n{body}\n{indent}}}"
 
 
+def _json_intensity(value: float) -> str:
+    """An intensity rounded to INTENSITY_SIGNIFICANT_DIGITS, as `json.dumps`
+    writes it."""
+    return _json_float(float(f"{value:.{INTENSITY_SIGNIFICANT_DIGITS - 1}e}"))
+
+
 class _Texts(dict):
-    """The text of each distinct value, formatted on first use.
+    """The text of each distinct key, formatted on first use."""
+
+    def __init__(self, format_key):
+        super().__init__()
+        self.format_key = format_key
+
+    def __missing__(self, key):
+        text = self[key] = self.format_key(key)
+        return text
+
+
+class _FloatTexts(_Texts):
+    """The text of each distinct float value.
 
     Values key the memo, so floats that compare equal share one text.  Of
-    those, only 0.0 and -0.0 can be written differently, so a zero is
-    formatted every time and never stored.  A NaN equals no other NaN, so
-    it shares its text only with itself.
+    those, only 0.0 and -0.0 can be written differently, so zeros are never
+    stored: they take the text of their sign.  A NaN equals no other NaN,
+    so it shares its text only with itself.
     """
 
-    def __init__(self, format_value):
-        super().__init__()
-        self.format_value = format_value
+    def __init__(self, format_key):
+        super().__init__(format_key)
+        self.zeros = (format_key(0.0), format_key(-0.0))
 
     def __missing__(self, value: float) -> str:
-        text = self.format_value(value)
-        if value:
-            self[value] = text
+        if not value:
+            return self.zeros[math.copysign(1.0, value) < 0]
+        text = self[value] = self.format_key(value)
         return text
+
+
+def _label_texts(format_label) -> _Texts:
+    """Texts of half-integer labels, keyed by `twice` so a lookup hashes an
+    int rather than calling the dataclass hash."""
+    return _Texts(lambda twice: format_label(str(HalfInt(twice))))
 
 
 def _json_level(level: RoVibLevel) -> str:
@@ -290,15 +314,16 @@ def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
             raise ValueError("no center frequency available for absolute output")
         header.append("absolute_f_MHz")
     rows = [",".join(header)]
-    texts = _Texts(format_intensity)
+    texts = _FloatTexts(format_intensity)
+    labels = _label_texts(str)
     prefix = f"{result.lower.L},{result.lower.v}"
     for line in result.lines:
         row = [
             prefix,
-            str(line.lower_f),
-            str(line.lower_j),
-            str(line.upper_f),
-            str(line.upper_j),
+            labels[line.lower_f.twice],
+            labels[line.lower_j.twice],
+            labels[line.upper_f.twice],
+            labels[line.upper_j.twice],
             format_shift(line.delta_f_mhz),
         ]
         row += [texts[line.intensity[pol]] for pol in result.pols]
@@ -318,19 +343,16 @@ def spectrum_to_json(result: SpectrumResult, absolute: bool = False) -> str:
     """
     center = result.center_frequency_mhz
     absolute = absolute and center is not None
-    digits = INTENSITY_SIGNIFICANT_DIGITS - 1
     # one "key": prefix per distinct token, in sorted-token order
     by_token = sorted({pol.token: pol for pol in result.pols}.items())
     keys = [(f"\n        {_json_string(token)}: ", pol) for token, pol in by_token]
-    texts = _Texts(lambda value: _json_float(float(f"{value:.{digits}e}")))
+    texts = _FloatTexts(_json_intensity)
+    labels = _label_texts(_json_string)
     lines = []
     for line in result.lines:
         intensity = (
             "{"
-            + ",".join(
-                key + texts[line.intensity[pol]]
-                for key, pol in keys
-            )
+            + ",".join([key + texts[line.intensity[pol]] for key, pol in keys])
             + "\n      }"
             if keys
             else "{}"
@@ -343,10 +365,10 @@ def spectrum_to_json(result: SpectrumResult, absolute: bool = False) -> str:
         )
         lines.append(
             "    {\n"
-            f'      "F_lower": {_json_string(str(line.lower_f))},\n'
-            f'      "F_upper": {_json_string(str(line.upper_f))},\n'
-            f'      "J_lower": {_json_string(str(line.lower_j))},\n'
-            f'      "J_upper": {_json_string(str(line.upper_j))},\n'
+            f'      "F_lower": {labels[line.lower_f.twice]},\n'
+            f'      "F_upper": {labels[line.upper_f.twice]},\n'
+            f'      "J_lower": {labels[line.lower_j.twice]},\n'
+            f'      "J_upper": {labels[line.upper_j.twice]},\n'
             f"{absolute_f}"
             f'      "dark": {"true" if line.dark else "false"},\n'
             f'      "delta_f_MHz": {_json_float(round(line.delta_f_mhz, SHIFT_DECIMALS))},\n'

@@ -202,4 +202,5 @@ def test_nan_in_two_objects():
         ),
         (PIPI, SPSP),
     )
+    assert not result.lines[0].dark
     assert_writers_match_oracle(result)
