@@ -78,10 +78,6 @@ class HalfInt:
             return cls(int(num))
         return cls(2 * int(s))
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __float__(self) -> float:
         return self.twice / 2.0
 

@@ -19,27 +19,7 @@ import math
 import sys
 from typing import Sequence
 
-from . import __version__
-from .datafiles import DataError, DataSet
-from .experiment import (
-    CavityParams,
-    LaserParams,
-    beam_axis_intensity,
-    cavity_isolation_db,
-    cavity_transmission,
-    rate_at_resonance,
-    transverse_field_decomposition,
-)
-from .hyperfine import RoVibLevel
-from .spectrum import (
-    format_intensity,
-    format_shift,
-    spectrum_to_csv,
-    spectrum_to_json,
-    two_photon_spectrum,
-)
-from .twophoton import PolarizationPair
-from .validate import CHECK_NAMES, run_checks
+from . import DataError, __version__
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,15 +53,15 @@ def _parse_level(text: str) -> tuple[int, int]:
     return v, L
 
 
-def _parse_pols(text: str) -> tuple[PolarizationPair, ...]:
+def _parse_pols(text: str) -> tuple:
+    from .twophoton import PolarizationPair
+
     pols = []
     for token in text.split(","):
         try:
             pols.append(PolarizationPair.from_token(token))
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-    if not pols:
-        raise _UsageError("at least one polarization pair is required")
     if len(set(pols)) < len(pols):
         raise _UsageError(f"repeated polarization token in {text!r}")
     return tuple(pols)
@@ -126,13 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
     cavity.add_argument("--losses", type=float, required=True)
 
     validate = sub.add_parser("validate", help="regression against the bundled published data")
-    validate.add_argument("--check", action="append", choices=CHECK_NAMES, default=None,
+    validate.add_argument("--check", action="append", default=None,
                           help="run only the named check (repeatable)")
     validate.add_argument("--data-dir", default=None)
     return parser
 
 
 def cmd_levels(args) -> int:
+    from .datafiles import DataSet
+    from .hyperfine import RoVibLevel
+    from .spectrum import format_shift
+
     if args.v < 0 or args.L < 0:
         raise _UsageError(f"v and L must be non-negative, got v={args.v}, L={args.L}")
     solution = DataSet(args.data_dir).solve(RoVibLevel(args.v, args.L))
@@ -172,30 +156,24 @@ def cmd_levels(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .datafiles import DataSet
+    from .hyperfine import RoVibLevel
+    from .spectrum import format_intensity, format_shift, spectrum_to_csv, spectrum_to_json
+
     v_lo, l_lo = _parse_level(args.lower)
     v_up, l_up = _parse_level(args.upper)
     pols = _parse_pols(args.pol)
     lower, upper = RoVibLevel(v_lo, l_lo), RoVibLevel(v_up, l_up)
     data = DataSet(args.data_dir)
-    coefficients = data.coefficients  # read first: a missing directory names this file
-    orb = data.elements(lower, upper)
+    data.coefficients  # read first: a missing directory names this file
+    data.elements(lower, upper)  # then the orbital file, before the centers
     center = data.center(lower, upper)
     if args.absolute and center is None:
         raise DataError(
             f"no center frequency available for ({v_lo},{l_lo})->({v_up},{l_up})"
         )
 
-    result = two_photon_spectrum(
-        data.solve(lower),
-        data.solve(upper),
-        orb,
-        pols,
-        center_frequency_mhz=center,
-        provenance={
-            "coefficients_lower": coefficients[lower].provenance,
-            "coefficients_upper": coefficients[upper].provenance,
-        },
-    )
+    result = data.spectrum(lower, upper, pols, center_frequency_mhz=center)
     if args.format == "json":
         print(spectrum_to_json(result, absolute=args.absolute))
     elif args.format == "csv":
@@ -219,6 +197,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    from .experiment import (
+        LaserParams,
+        beam_axis_intensity,
+        rate_at_resonance,
+        transverse_field_decomposition,
+    )
+
     if args.power < 0 or args.waist <= 0 or args.linewidth <= 0 or args.qsq < 0:
         raise _UsageError("power/qsq must be >= 0 and waist/linewidth > 0")
     if not math.isfinite(args.qsq):
@@ -241,6 +226,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_cavity(args) -> int:
+    from .experiment import CavityParams, cavity_isolation_db, cavity_transmission
+
     try:
         cavity = CavityParams(args.reflectivity, args.losses)
         transmission = cavity_transmission(cavity)
@@ -254,9 +241,13 @@ def cmd_cavity(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.check and len(set(args.check)) < len(args.check):
-        raise _UsageError(f"repeated check in --check {' '.join(args.check)}")
-    results = run_checks(args.check, data_dir=args.data_dir)
+    from .validate import run_checks, selected_checks
+
+    try:
+        names = selected_checks(args.check)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    results = run_checks(names, data_dir=args.data_dir)
     for result in results:
         print(result.summary())
         for detail in result.details[:MAX_DETAILS]:

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
+from . import DataError
 from .angular import HalfInt
 from .hyperfine import (
     HyperfineCoefficients,
@@ -33,7 +35,8 @@ from .hyperfine import (
     diagonalize_even,
     diagonalize_odd,
 )
-from .twophoton import OrbitalReducedElements
+from .spectrum import SpectrumResult, two_photon_spectrum
+from .twophoton import OrbitalReducedElements, PolarizationPair
 
 __all__ = [
     "DataError",
@@ -56,10 +59,6 @@ DATA_DIR_ENV_VAR = "H2PLUS_DATA_DIR"
 COEFFICIENTS_FILE = "hyperfine_coefficients.json"
 ORBITAL_FILE = "orbital_reduced_elements.json"
 CENTERS_FILE = "center_frequencies.json"
-
-
-class DataError(Exception):
-    """A required data file is missing, unreadable or malformed."""
 
 
 def default_data_dir() -> Path:
@@ -335,8 +334,8 @@ class DataSet:
     """The data files of one directory, resolved once into `path` and each
     read and converted on first use, so a process reads every file it needs
     exactly once.  Also the lookups the command line and the validation
-    checks share: a level's solution, a transition's orbital elements and
-    its center frequency."""
+    checks share: a level's solution, a transition's orbital elements, line
+    list and center frequency."""
 
     def __init__(self, data_dir: str | os.PathLike | None = None):
         self.path = resolve_data_dir(data_dir)
@@ -366,7 +365,52 @@ class DataSet:
         return load_reference_lines(self.path)
 
     def solve(self, level: RoVibLevel) -> HyperfineSolution:
-        return solve_level(level.v, level.L, self.coefficients)
+        """The level's hyperfine solution.  Coefficients that put a shift or
+        a mixing amplitude out of floating-point range are a DataError."""
+        solution = solve_level(level.v, level.L, self.coefficients)
+        if not all(math.isfinite(x) for s in solution.states for x in (s.shift_mhz, s.c1, s.c3)):
+            raise DataError(
+                f"{self.path / COEFFICIENTS_FILE}: the coefficients of (v={level.v}, "
+                f"L={level.L}) put a shift or mixing out of floating-point range"
+            )
+        return solution
+
+    def spectrum(
+        self,
+        lower: RoVibLevel,
+        upper: RoVibLevel,
+        pols: Sequence[PolarizationPair],
+        center_frequency_mhz: float | None = None,
+    ) -> SpectrumResult:
+        """`two_photon_spectrum` of lower -> upper, with the provenance of both
+        levels' coefficients.  Data that put a line's shift or intensity out
+        of floating-point range are a DataError."""
+        orb = self.elements(lower, upper)
+        lower_sol, upper_sol = self.solve(lower), self.solve(upper)
+        transition = _transition(lower, upper)
+        intensity_error = DataError(
+            f"{self.path / ORBITAL_FILE}: the elements of {transition} put a line "
+            "intensity out of floating-point range"
+        )
+        provenance = {
+            "coefficients_lower": self.coefficients[lower].provenance,
+            "coefficients_upper": self.coefficients[upper].provenance,
+        }
+        try:
+            result = two_photon_spectrum(
+                lower_sol, upper_sol, orb, pols, center_frequency_mhz, provenance
+            )
+        except OverflowError:  # a squared reduced element left the float range
+            raise intensity_error from None
+        for line in result.lines:
+            if not math.isfinite(line.delta_f_mhz):
+                raise DataError(
+                    f"{self.path / COEFFICIENTS_FILE}: the coefficients of {transition} "
+                    "put a line shift out of floating-point range"
+                )
+            if not all(map(math.isfinite, line.intensity.values())):
+                raise intensity_error
+        return result
 
     def elements(self, lower: RoVibLevel, upper: RoVibLevel) -> OrbitalReducedElements:
         try:

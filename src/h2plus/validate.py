@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from .angular import HalfInt
 from .datafiles import DataSet, default_data_dir
 from .hyperfine import RoVibLevel
-from .spectrum import two_photon_spectrum
 from .twophoton import PolarizationPair, tensor_coefficients
 
 __all__ = [
     "CheckResult",
-    "CHECK_NAMES",
+    "selected_checks",
     "run_checks",
     "intensity_within_tolerance",
     "SHIFT_TOLERANCE_MHZ",
@@ -250,8 +249,7 @@ def _check_spectra(active: DataSet, _bundled: DataSet) -> CheckResult:
             )
         lower = RoVibLevel(*key[0])
         upper = RoVibLevel(*key[1])
-        orb = active.elements(lower, upper)
-        result = two_photon_spectrum(active.solve(lower), active.solve(upper), orb, STANDARD_POLS)
+        result = active.spectrum(lower, upper, STANDARD_POLS)
         computed = {
             (str(ln.lower_f), str(ln.lower_j), str(ln.upper_f), str(ln.upper_j)): ln
             for ln in result.lines
@@ -348,17 +346,25 @@ _CHECKS = {
     "center-frequencies": _check_centers,
 }
 
-CHECK_NAMES = tuple(_CHECKS)
+
+def selected_checks(names=None) -> list[str]:
+    """The checks to run: `names` in order, or every check when none are
+    given.  An unknown or repeated name is a ValueError."""
+    if not names:
+        return list(_CHECKS)
+    unknown = [name for name in names if name not in _CHECKS]
+    if unknown:
+        raise ValueError(
+            f"unknown check(s) {', '.join(unknown)}; available: {', '.join(_CHECKS)}"
+        )
+    if len(set(names)) < len(names):
+        raise ValueError(f"repeated check in --check {' '.join(names)}")
+    return list(names)
 
 
 def run_checks(names=None, data_dir=None) -> list[CheckResult]:
     """Run the requested checks (all by default) against a data directory."""
-    selected = list(names) if names else list(CHECK_NAMES)
-    unknown = [n for n in selected if n not in _CHECKS]
-    if unknown:
-        raise ValueError(
-            f"unknown check(s) {unknown}; available: {', '.join(CHECK_NAMES)}"
-        )
+    selected = selected_checks(names)
     active = DataSet(data_dir)
     bundled = active if active.path == default_data_dir() else DataSet(default_data_dir())
     return [_CHECKS[name](active, bundled) for name in selected]

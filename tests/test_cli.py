@@ -103,6 +103,20 @@ class TestSpectrum:
         assert code == EXIT_DATA
         assert "no orbital elements" in err
 
+    def test_level_without_coefficients_is_data_error(self, capsys, tmp_path):
+        workdir = tmp_path / "data"
+        shutil.copytree(default_data_dir(), workdir)
+        path = workdir / "hyperfine_coefficients.json"
+        payload = json.loads(path.read_text())
+        payload["coefficients"] = [
+            r for r in payload["coefficients"] if (r["v"], r["L"]) != (1, 1)
+        ]
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "spectrum", "--lower", "0,1", "--upper", "1,1",
+                           "--data-dir", str(workdir))
+        assert code == EXIT_DATA
+        assert "no hyperfine coefficients for (v=1, L=1)" in err
+
     def test_bad_level_syntax_is_usage_error(self, capsys):
         code, _, err = run(capsys, "spectrum", "--lower", "0:1", "--upper", "1,1")
         assert code == EXIT_USAGE
@@ -251,6 +265,13 @@ def _drop_c1(payload):
     del payload["levels"][0]["states"][0]["C1"]
 
 
+def _overflow_l2_line_shifts(payload):
+    """Finite c_e whose (0,2)->(1,2) line shifts exceed the float range."""
+    for record in payload["coefficients"]:
+        if record["L"] == 2:
+            record["c_e"] = 1e308 if record["v"] else -1e308
+
+
 class TestMalformedData:
     @pytest.mark.parametrize(
         "name,corrupt,argv",
@@ -338,6 +359,30 @@ class TestMalformedData:
     def test_non_integer_level_is_data_error(self, capsys, tmp_path, name, corrupt, argv, value):
         self._assert_data_error(capsys, tmp_path, name, lambda p: corrupt(p, value), argv)
 
+    @pytest.mark.parametrize(
+        "name,corrupt,argv,where",
+        [
+            ("orbital_reduced_elements.json", lambda p: p["elements"][0].update(Q0=1e200),
+             ["spectrum", "--lower", "0,0", "--upper", "1,0", "--format", "csv"],
+             "(0,0)->(1,0)"),
+            ("orbital_reduced_elements.json", lambda p: p["elements"][0].update(Q0=1e200),
+             ["validate"], "(0,0)->(1,0)"),
+            ("hyperfine_coefficients.json", lambda p: p["coefficients"][1].update(c_I=1.7e308),
+             ["levels", "--v", "0", "--L", "1"], "(v=0, L=1)"),
+            ("hyperfine_coefficients.json", lambda p: p["coefficients"][1].update(c_I=1.7e308),
+             ["spectrum", "--lower", "0,1", "--upper", "1,1", "--format", "csv"], "(v=0, L=1)"),
+            ("hyperfine_coefficients.json", _overflow_l2_line_shifts,
+             ["spectrum", "--lower", "0,2", "--upper", "1,2"], "(0,2)->(1,2)"),
+        ],
+        ids=["orbital-spectrum", "orbital-validate", "coefficients-levels",
+             "coefficients-spectrum", "coefficients-line-shift"],
+    )
+    def test_out_of_range_value_is_data_error(self, capsys, tmp_path, name, corrupt, argv, where):
+        """Finite data that drive a shift, mixing or intensity out of float
+        range exit 2 naming the file and the level or transition."""
+        err = self._assert_data_error(capsys, tmp_path, name, corrupt, argv)
+        assert where in err
+
     @staticmethod
     def _assert_data_error(capsys, tmp_path, name, corrupt, argv):
         workdir = tmp_path / "data"
@@ -351,6 +396,7 @@ class TestMalformedData:
         assert err.startswith("data error: ")
         assert name.split("/")[-1] in err
         assert "Traceback" not in err
+        return err
 
 
 class TestValidate:
@@ -366,8 +412,25 @@ class TestValidate:
         assert "all 1 checks passed" in out
 
     def test_unknown_check_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "validate", "--check", "bogus")
+        code, out, err = run(capsys, "validate", "--check", "bogus")
         assert code == EXIT_USAGE
+        assert out == ""
+        assert "bogus" in err
+        for name in ("even-levels", "odd-levels", "tensor-coefficients", "spectra",
+                     "orbital-elements", "center-frequencies"):
+            assert name in err
+
+    def test_value_error_inside_a_check_propagates(self, monkeypatch):
+        """Only the check names are usage errors: a ValueError raised by a
+        check is a fault of the program, not of the command line."""
+        from h2plus import validate
+
+        def broken(_active, _bundled):
+            raise ValueError("raised inside a check")
+
+        monkeypatch.setitem(validate._CHECKS, "tensor-coefficients", broken)
+        with pytest.raises(ValueError, match="raised inside a check"):
+            main(["validate", "--check", "tensor-coefficients"])
 
     def test_repeated_check_is_usage_error(self, capsys):
         code, out, err = run(capsys, "validate", "--check", "spectra", "--check", "spectra")
@@ -536,6 +599,37 @@ def test_cli_runs_without_numpy(capsys, numpy_blocked_env, argv):
     assert proc.returncode == EXIT_OK, proc.stderr.decode()
     assert main(argv) == EXIT_OK
     assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+# Runs `cli.main` on the arguments and prints the package modules loaded.
+MODULE_PROBE = (
+    "import contextlib, io, sys\n"
+    "from h2plus import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.main(sys.argv[1:]) == 0\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'h2plus')))\n"
+)
+
+
+def _package_modules(*args) -> set[str]:
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=_env_with_path(), check=True)
+    return set(proc.stdout.split())
+
+
+def test_package_root_loads_no_submodule():
+    script = "import sys, h2plus; print(*(m for m in sys.modules if m.startswith('h2plus')))"
+    assert _package_modules("-c", script) == {"h2plus"}
+
+
+@pytest.mark.parametrize("argv", NO_NUMPY_ARGV.values(), ids=NO_NUMPY_ARGV.keys())
+def test_subcommand_loads_only_what_it_runs(argv):
+    modules = _package_modules("-c", MODULE_PROBE, *argv)
+    if argv[0] in ("rate", "cavity"):
+        assert modules == {"h2plus", "h2plus.cli", "h2plus.experiment"}
+    else:
+        assert "h2plus.experiment" not in modules
+        assert ("h2plus.validate" in modules) == (argv[0] == "validate")
 
 
 def test_spectrum_path_loads_no_numpy():
