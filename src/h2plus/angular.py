@@ -18,10 +18,9 @@ for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "HalfInt",
@@ -32,19 +31,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
+class HalfInt(NamedTuple("HalfInt", [("twice", int)])):
     """A half-integer quantum number, stored as twice its value.
 
     Storing 2j keeps every j in {0, 1/2, 1, 3/2, ...} exact, so triangle and
     parity checks are integer comparisons.  Projections m may be negative.
     """
 
-    twice: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.twice, int):
-            raise TypeError(f"twice must be an int, got {type(self.twice).__name__}")
+    def __new__(cls, twice: int) -> "HalfInt":
+        if not isinstance(twice, int):
+            raise TypeError(f"twice must be an int, got {type(twice).__name__}")
+        return super().__new__(cls, twice)
 
     @classmethod
     def of(cls, value: "HalfIntLike") -> "HalfInt":

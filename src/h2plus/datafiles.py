@@ -19,11 +19,9 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import DataError
 from .angular import HalfInt
@@ -62,7 +60,7 @@ CENTERS_FILE = "center_frequencies.json"
 
 
 def default_data_dir() -> Path:
-    return Path(resources.files("h2plus") / "data")
+    return Path(__file__).parent / "data"
 
 
 def resolve_data_dir(explicit: str | os.PathLike | None = None) -> Path:
@@ -144,8 +142,7 @@ def _read_level(record: dict, path: Path, v_key: str = "v", l_key: str = "L") ->
         )
 
 
-@dataclass(frozen=True)
-class CoefficientRecord:
+class CoefficientRecord(NamedTuple):
     """One fitted coefficient set with its provenance and fit residual."""
 
     level: RoVibLevel

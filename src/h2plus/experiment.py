@@ -17,7 +17,7 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "BOHR_RADIUS_M",
@@ -45,42 +45,43 @@ RATE_PREFACTOR_M4_PER_J2 = (
 ) ** 2
 
 
-@dataclass(frozen=True)
-class LaserParams:
+class LaserParams(NamedTuple("LaserParams", [
+    ("power_w", float), ("waist_m", float), ("gamma_f_rad_s", float),
+])):
     """Excitation beam incident on the ions: power (W), Gaussian waist (m)
     and instrumental width of the transition (rad/s)."""
 
-    power_w: float
-    waist_m: float
-    gamma_f_rad_s: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("power_w", "waist_m", "gamma_f_rad_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.power_w < 0.0:
-            raise ValueError(f"power must be non-negative, got {self.power_w}")
-        if self.waist_m <= 0.0:
-            raise ValueError(f"waist must be positive, got {self.waist_m}")
-        if self.gamma_f_rad_s <= 0.0:
-            raise ValueError(f"instrumental width must be positive, got {self.gamma_f_rad_s}")
+    def __new__(cls, power_w: float, waist_m: float, gamma_f_rad_s: float) -> "LaserParams":
+        self = super().__new__(cls, power_w, waist_m, gamma_f_rad_s)
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if power_w < 0.0:
+            raise ValueError(f"power must be non-negative, got {power_w}")
+        if waist_m <= 0.0:
+            raise ValueError(f"waist must be positive, got {waist_m}")
+        if gamma_f_rad_s <= 0.0:
+            raise ValueError(f"instrumental width must be positive, got {gamma_f_rad_s}")
+        return self
 
 
-@dataclass(frozen=True)
-class CavityParams:
+class CavityParams(NamedTuple("CavityParams", [("reflectivity", float), ("losses", float)])):
     """Fabry-Perot cavity with two identical mirrors of reflectivity R and
     fractional losses P; the mirror transmission is T = 1 - R - P."""
 
-    reflectivity: float
-    losses: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError(f"reflectivity must lie in [0, 1], got {self.reflectivity}")
-        if not 0.0 <= self.losses <= 1.0:
-            raise ValueError(f"losses must lie in [0, 1], got {self.losses}")
+    def __new__(cls, reflectivity: float, losses: float) -> "CavityParams":
+        self = super().__new__(cls, reflectivity, losses)
+        if not 0.0 <= reflectivity <= 1.0:
+            raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
+        if not 0.0 <= losses <= 1.0:
+            raise ValueError(f"losses must lie in [0, 1], got {losses}")
         if self.transmission < 0.0:
             raise ValueError("R + P exceed 1: negative transmission")
+        return self
 
     @property
     def transmission(self) -> float:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
 from .angular import HalfInt
 
@@ -47,16 +47,15 @@ class FitError(RuntimeError):
     """Coefficient fit did not converge or exceeded its residual budget."""
 
 
-@dataclass(frozen=True, order=True)
-class RoVibLevel:
+class RoVibLevel(NamedTuple("RoVibLevel", [("v", int), ("L", int)])):
     """A ro-vibrational level, identified by (v, L)."""
 
-    v: int
-    L: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.v < 0 or self.L < 0:
-            raise ValueError(f"v and L must be non-negative, got ({self.v}, {self.L})")
+    def __new__(cls, v: int, L: int) -> "RoVibLevel":
+        if v < 0 or L < 0:
+            raise ValueError(f"v and L must be non-negative, got ({v}, {L})")
+        return super().__new__(cls, v, L)
 
     @property
     def nuclear_spin(self) -> int:
@@ -64,23 +63,23 @@ class RoVibLevel:
         return self.L % 2
 
 
-@dataclass(frozen=True)
-class HyperfineCoefficients:
+class HyperfineCoefficients(NamedTuple("HyperfineCoefficients", [
+    ("b_f", float), ("c_e", float), ("c_i", float), ("d1", float), ("d2", float),
+])):
     """The five effective-Hamiltonian constants of one (v, L) level, MHz.
 
     For even L only c_e enters; the other four are ignored.
     """
 
-    b_f: float = 0.0
-    c_e: float = 0.0
-    c_i: float = 0.0
-    d1: float = 0.0
-    d2: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("b_f", "c_e", "c_i", "d1", "d2"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, b_f: float = 0.0, c_e: float = 0.0, c_i: float = 0.0,
+                d1: float = 0.0, d2: float = 0.0) -> "HyperfineCoefficients":
+        self = super().__new__(cls, b_f, c_e, c_i, d1, d2)
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
                 raise ValueError(f"coefficient {name} must be finite")
+        return self
 
     @classmethod
     def from_array(cls, values) -> "HyperfineCoefficients":
@@ -88,8 +87,7 @@ class HyperfineCoefficients:
         return cls(b_f, c_e, c_i, d1, d2)
 
 
-@dataclass(frozen=True)
-class HyperfineEigenstate:
+class HyperfineEigenstate(NamedTuple):
     """One hyperfine sublevel with its energy shift and mixing amplitudes.
 
     coeffs = (C1, C3) are the amplitudes on the (F=1/2, F=3/2) pure basis
@@ -115,8 +113,7 @@ class HyperfineEigenstate:
         return f"(F~={self.f_tilde}, J={self.j})"
 
 
-@dataclass(frozen=True)
-class HyperfineSolution:
+class HyperfineSolution(NamedTuple):
     """All hyperfine sublevels of one (v, L), ordered by descending J then
     descending F_tilde."""
 
@@ -248,15 +245,14 @@ def diagonalize_odd(L: int, c: HyperfineCoefficients, v: int = 0) -> HyperfineSo
     return HyperfineSolution(level, tuple(states))
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Outcome of a coefficient fit, with its residual diagnostics."""
 
     coefficients: HyperfineCoefficients
     residual_norm_mhz: float
     max_shift_residual_mhz: float
     max_mixing_residual: float
-    shift_residuals_mhz: tuple[float, ...] = field(default=())
+    shift_residuals_mhz: tuple[float, ...] = ()
 
 
 # Weight that puts a mixing-amplitude residual on the same footing as a

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .angular import HalfInt
 from .hyperfine import HyperfineEigenstate, HyperfineSolution, RoVibLevel
@@ -61,8 +60,7 @@ def format_intensity(value: float) -> str:
     return f"{value:.{INTENSITY_SIGNIFICANT_DIGITS - 1}e}" if value else "0.000e+00"
 
 
-@dataclass(frozen=True)
-class TransitionLine:
+class TransitionLine(NamedTuple):
     """One hyperfine component of a two-photon transition.
 
     delta_f is the per-photon frequency shift in MHz; intensities map each
@@ -88,8 +86,7 @@ class TransitionLine:
         )
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Full line list of one ro-vibrational two-photon transition."""
 
     lower: RoVibLevel
@@ -97,7 +94,7 @@ class SpectrumResult:
     lines: tuple[TransitionLine, ...]
     pols: tuple[PolarizationPair, ...]
     center_frequency_mhz: float | None = None
-    provenance: dict[str, str] = field(default_factory=dict)
+    provenance: dict[str, str] = {}
 
     @property
     def n_bright(self) -> int:
@@ -179,19 +176,19 @@ def two_photon_spectrum(
     )
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
+class FrequencyGrid(NamedTuple("FrequencyGrid", [
+    ("start_mhz", float), ("stop_mhz", float), ("step_mhz", float),
+])):
     """Uniform frequency grid in MHz: start, stop (inclusive) and step."""
 
-    start_mhz: float
-    stop_mhz: float
-    step_mhz: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.step_mhz <= 0.0:
-            raise ValueError(f"grid step must be positive, got {self.step_mhz}")
-        if self.stop_mhz < self.start_mhz:
+    def __new__(cls, start_mhz: float, stop_mhz: float, step_mhz: float) -> "FrequencyGrid":
+        if step_mhz <= 0.0:
+            raise ValueError(f"grid step must be positive, got {step_mhz}")
+        if stop_mhz < start_mhz:
             raise ValueError("grid stop must not precede its start")
+        return super().__new__(cls, start_mhz, stop_mhz, step_mhz)
 
     def frequencies(self) -> np.ndarray:
         import numpy as np
@@ -290,9 +287,8 @@ class _FloatTexts(_Texts):
 
 
 def _label_texts(format_label) -> _Texts:
-    """Texts of half-integer labels, keyed by `twice` so a lookup hashes an
-    int rather than calling the dataclass hash."""
-    return _Texts(lambda twice: format_label(str(HalfInt(twice))))
+    """Texts of half-integer labels, each formatted once per writer call."""
+    return _Texts(lambda label: format_label(str(label)))
 
 
 def _json_level(level: RoVibLevel) -> str:
@@ -320,10 +316,10 @@ def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
     for line in result.lines:
         row = [
             prefix,
-            labels[line.lower_f.twice],
-            labels[line.lower_j.twice],
-            labels[line.upper_f.twice],
-            labels[line.upper_j.twice],
+            labels[line.lower_f],
+            labels[line.lower_j],
+            labels[line.upper_f],
+            labels[line.upper_j],
             format_shift(line.delta_f_mhz),
         ]
         row += [texts[line.intensity[pol]] for pol in result.pols]
@@ -365,10 +361,10 @@ def spectrum_to_json(result: SpectrumResult, absolute: bool = False) -> str:
         )
         lines.append(
             "    {\n"
-            f'      "F_lower": {labels[line.lower_f.twice]},\n'
-            f'      "F_upper": {labels[line.upper_f.twice]},\n'
-            f'      "J_lower": {labels[line.lower_j.twice]},\n'
-            f'      "J_upper": {labels[line.upper_j.twice]},\n'
+            f'      "F_lower": {labels[line.lower_f]},\n'
+            f'      "F_upper": {labels[line.upper_f]},\n'
+            f'      "J_lower": {labels[line.lower_j]},\n'
+            f'      "J_upper": {labels[line.upper_j]},\n'
             f"{absolute_f}"
             f'      "dark": {"true" if line.dark else "false"},\n'
             f'      "delta_f_MHz": {_json_float(round(line.delta_f_mhz, SHIFT_DECIMALS))},\n'

@@ -13,8 +13,8 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .angular import HalfInt, _six_j, clebsch_gordan
 from .hyperfine import HyperfineEigenstate, RoVibLevel
@@ -114,8 +114,7 @@ SIGMA_PLUS_SIGMA_PLUS = PolarizationPair(1, 1)
 SIGMA_PLUS_SIGMA_MINUS = PolarizationPair(1, -1)
 
 
-@dataclass(frozen=True)
-class TensorCoeffs:
+class TensorCoeffs(NamedTuple):
     """Rank-2 and rank-0 weights of the symmetrized two-photon operator for
     one polarization pair: a2[q] for q = -2..2 and the scalar weight a00.
 
@@ -135,26 +134,26 @@ class TensorCoeffs:
         return sum(a * a for a in self.a2) + self.a00 * self.a00
 
 
-@dataclass(frozen=True)
-class OrbitalReducedElements:
+class OrbitalReducedElements(NamedTuple("OrbitalReducedElements", [
+    ("lower", RoVibLevel), ("upper", RoVibLevel), ("q0", float), ("q2", float),
+])):
     """Reduced orbital elements <vL||Q(0)||v'L'> and <vL||Q(2)||v'L'> in
     atomic units for one ro-vibrational transition."""
 
-    lower: RoVibLevel
-    upper: RoVibLevel
-    q0: float
-    q2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lower == self.upper:
+    def __new__(cls, lower: RoVibLevel, upper: RoVibLevel, q0: float,
+                q2: float) -> "OrbitalReducedElements":
+        if lower == upper:
             raise ValueError("lower and upper levels must differ")
-        delta_l = abs(self.upper.L - self.lower.L)
+        delta_l = abs(upper.L - lower.L)
         if delta_l not in (0, 2):
             raise SelectionRuleError(
-                f"two-photon operator cannot couple L={self.lower.L} to L={self.upper.L}"
+                f"two-photon operator cannot couple L={lower.L} to L={upper.L}"
             )
-        if delta_l != 0 and self.q0 != 0.0:
+        if delta_l != 0 and q0 != 0.0:
             raise ValueError("Q(0) must vanish unless L = L'")
+        return super().__new__(cls, lower, upper, q0, q2)
 
     def element(self, k: int) -> float:
         if k == 0:
@@ -164,8 +163,7 @@ class OrbitalReducedElements:
         raise ValueError(f"rank must be 0 or 2, got {k}")
 
 
-@dataclass(frozen=True)
-class IntermediateSums:
+class IntermediateSums(NamedTuple):
     """The three partial sums over intermediate states with orbital momentum
     L-1, L, L+1, in atomic units."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .angular import HalfInt
 from .datafiles import DataSet, default_data_dir
@@ -81,8 +81,7 @@ def intensity_within_tolerance(expected: float, actual: float) -> bool:
     return deviation <= INTENSITY_ABS_TOLERANCE
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one validation check."""
 
     name: str
@@ -90,7 +89,7 @@ class CheckResult:
     max_deviation: float
     tolerance: float
     passed: bool
-    details: list[str] = field(default_factory=list)
+    details: list[str]
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
