@@ -6,7 +6,8 @@ Subcommands: `levels` prints the hyperfine structure of one (v, L) level,
 regression against the bundled published data.
 
 Exit codes: 0 success, 1 usage error, 2 missing or malformed data,
-3 validation failure.  All numeric output uses locale-independent
+3 validation failure, 141 (128 + SIGPIPE) standard output closed before
+all of it was written.  All numeric output uses locale-independent
 formatting with fixed precision, so identical invocations produce
 byte-identical output.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VALIDATION = 3
+EXIT_PIPE = 141
 
 DEFAULT_POLS = "pipi,spsp,spsm"
 # `validate` prints at most this many details per check, then counts the rest
@@ -272,20 +275,22 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError:
+        # The "Note on SIGPIPE" recipe of the `signal` docs: send what is
+        # still buffered to devnull, so the flush at exit is silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def _read_json(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or int
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object, got {type(payload).__name__}")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from h2plus.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from h2plus.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VALIDATION, main
 from h2plus.datafiles import default_data_dir
 from h2plus.validate import run_checks
 
@@ -383,6 +383,25 @@ class TestMalformedData:
         err = self._assert_data_error(capsys, tmp_path, name, corrupt, argv)
         assert where in err
 
+    @pytest.mark.parametrize(
+        "name,content,argv",
+        [
+            ("hyperfine_coefficients.json", b'{"units": "MHz\xff"}',
+             ["levels", "--v", "0", "--L", "1"]),
+            ("orbital_reduced_elements.json", b'{"elements": [' + b"1" * 5000 + b"]}",
+             ["spectrum", "--lower", "0,1", "--upper", "1,1"]),
+            ("reference/levels_odd.json", b"[" * 100_000 + b"]" * 100_000, ["validate"]),
+        ],
+        ids=["non-utf8", "huge-integer", "deep-nesting"],
+    )
+    def test_unparsable_file_is_data_error(self, capsys, tmp_path, name, content, argv):
+        workdir = tmp_path / "data"
+        shutil.copytree(default_data_dir(), workdir)
+        (workdir / name).write_bytes(content)
+        code, out, err = run(capsys, *argv, "--data-dir", str(workdir))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith(f"data error: cannot read {workdir / name}: ")
+
     @staticmethod
     def _assert_data_error(capsys, tmp_path, name, corrupt, argv):
         workdir = tmp_path / "data"
@@ -601,20 +620,29 @@ def test_cli_runs_without_numpy(capsys, numpy_blocked_env, argv):
     assert proc.stdout == capsys.readouterr().out.encode("utf-8")
 
 
-# Runs `cli.main` on the arguments and prints the package modules loaded.
+# Runs `cli.main` on the arguments and prints the modules loaded.
 MODULE_PROBE = (
     "import contextlib, io, sys\n"
     "from h2plus import cli\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    assert cli.main(sys.argv[1:]) == 0\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'h2plus')))\n"
+    "print(' '.join(sys.modules))\n"
 )
 
+# Standard-library modules no subcommand needs: code generation of record
+# classes (dataclasses and what it imports) and package-resource lookup.
+UNNEEDED_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                    "importlib.resources", "zipfile", "tempfile"}
 
-def _package_modules(*args) -> set[str]:
+
+def _modules(*args) -> set[str]:
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=_env_with_path(), check=True)
     return set(proc.stdout.split())
+
+
+def _package_modules(*args) -> set[str]:
+    return {m for m in _modules(*args) if m.split(".")[0] == "h2plus"}
 
 
 def test_package_root_loads_no_submodule():
@@ -630,6 +658,32 @@ def test_subcommand_loads_only_what_it_runs(argv):
     else:
         assert "h2plus.experiment" not in modules
         assert ("h2plus.validate" in modules) == (argv[0] == "validate")
+
+
+@pytest.mark.parametrize("argv", NO_NUMPY_ARGV.values(), ids=NO_NUMPY_ARGV.keys())
+def test_subcommand_loads_no_unneeded_stdlib(argv):
+    """Under `python -S`, since a site-packages .pth file may preload any of
+    these modules into every interpreter."""
+    assert not _modules("-S", "-c", MODULE_PROBE, *argv) & UNNEEDED_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--lower", "0,1", "--upper", "1,1", "--absolute", "--format", "json"],
+     NO_NUMPY_ARGV["cavity"]],
+    ids=["spectrum-json", "cavity"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    """A reader that closes the pipe at once: the large JSON fails inside
+    `print`, the short cavity report at the final flush.  Both exit 141
+    with nothing on stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "h2plus.cli", *argv], env=_env_with_path(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE
+    assert err == b""
 
 
 def test_spectrum_path_loads_no_numpy():

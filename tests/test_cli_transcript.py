@@ -47,9 +47,9 @@ def _edit_json(name, change):
     return edit
 
 
-def _write(name, text):
-    """An edit that replaces data/<name> with `text`."""
-    return lambda data: (data / name).write_text(text)
+def _write(name, content: bytes):
+    """An edit that replaces data/<name> with `content`."""
+    return lambda data: (data / name).write_bytes(content)
 
 
 def _scale_c_e(payload):
@@ -130,7 +130,13 @@ CASES = [
     ("data-missing-dir", ["levels", "--v", "0", "--L", "1", "--data-dir", f"{TMP}/nope"], None),
     ("data-missing-dir-validate", ["validate", "--data-dir", f"{TMP}/nope"], None),
     ("data-coefficients-syntax", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _write(COEFFICIENTS, '{"units": "MHz",')),
+     _write(COEFFICIENTS, b'{"units": "MHz",')),
+    ("data-coefficients-non-utf8", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
+     _write(COEFFICIENTS, b'{"units": "MHz\xff"}')),
+    ("data-orbital-huge-integer", [*_spectrum(1), "--data-dir", DATA],
+     _write(ORBITAL, b'{"elements": [' + b"1" * 5000 + b"]}")),
+    ("data-reference-deep-nesting", ["validate", "--data-dir", DATA],
+     _write("reference/levels_odd.json", b"[" * 100_000 + b"]" * 100_000)),
     ("data-coefficients-list", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
      _edit_json(COEFFICIENTS, lambda p: [p])),
     ("data-coefficients-units", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
