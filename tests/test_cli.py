@@ -667,17 +667,14 @@ def test_subcommand_loads_no_unneeded_stdlib(argv):
     assert not _modules("-S", "-c", MODULE_PROBE, *argv) & UNNEEDED_MODULES
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["spectrum", "--lower", "0,1", "--upper", "1,1", "--absolute", "--format", "json"],
-     NO_NUMPY_ARGV["cavity"]],
-    ids=["spectrum-json", "cavity"],
-)
-def test_closed_stdout_exits_quietly(argv):
-    """A reader that closes the pipe at once: the large JSON fails inside
-    `print`, the short cavity report at the final flush.  Both exit 141
-    with nothing on stderr."""
-    proc = subprocess.Popen([sys.executable, "-m", "h2plus.cli", *argv], env=_env_with_path(),
+@pytest.mark.parametrize("name", ["spectrum-json", "cavity"])
+def test_closed_stdout_exits_quietly(name):
+    """A reader that closes the pipe at once.  With stdout block-buffered, as
+    by default, the L=3 JSON (larger than the buffer) fails inside `print`
+    and the short cavity report at the flush `main` does before it returns.
+    Both exit 141 with nothing on stderr."""
+    env = {k: v for k, v in _env_with_path().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "h2plus.cli", *NO_NUMPY_ARGV[name]], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read()
