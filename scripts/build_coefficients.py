@@ -5,19 +5,30 @@ Reads the published level shifts and mixing coefficients bundled under
 src/h2plus/data/reference/ and inverts them with the package's fitting
 routines, writing src/h2plus/data/hyperfine_coefficients.json with the fit
 residuals recorded alongside each record.
+
+With --check it writes nothing: it refits, prints the worst relative
+deviation of each level's constants from the shipped file, and exits 1 if
+any exceeds CHECK_RELATIVE_BOUND (a constant shipped as exactly zero must
+refit to exactly zero) or the levels differ, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from h2plus.datafiles import load_reference_levels_even, load_reference_levels_odd
+from h2plus import DataError
+from h2plus.datafiles import (
+    load_coefficients,
+    load_reference_levels_even,
+    load_reference_levels_odd,
+)
 from h2plus.hyperfine import fit_coefficients, fit_even_coefficient
 
 ODD_PROVENANCE = (
@@ -28,9 +39,17 @@ L0_PROVENANCE = (
     "c_e unconstrained at L=0 (no orbital coupling; the single level is unshifted)"
 )
 
+COEFFICIENTS = REPO / "src" / "h2plus" / "data" / "hyperfine_coefficients.json"
+CONSTANTS = ("b_F", "c_e", "c_I", "d_1", "d_2")
 
-def main() -> int:
-    argparse.ArgumentParser(description=__doc__).parse_args()
+# Largest relative difference between a refit constant and the shipped one
+# that --check accepts; the refit differs from the shipped fit by ~1e-6 at
+# most on the bundled levels.
+CHECK_RELATIVE_BOUND = 2e-6
+
+
+def fit_records() -> list[dict]:
+    """One coefficient record per reference level, sorted by (v, L)."""
     records = []
     for entry in load_reference_levels_even():
         L, v = entry["L"], entry["v"]
@@ -70,6 +89,51 @@ def main() -> int:
             }
         )
     records.sort(key=lambda r: (r["v"], r["L"]))
+    return records
+
+
+def _relative_deviation(fitted: float, shipped: float) -> float:
+    if shipped == 0.0:
+        return 0.0 if fitted == 0.0 else math.inf
+    return abs(fitted - shipped) / abs(shipped)
+
+
+def check(records: list[dict]) -> int:
+    """Compare refit records with the shipped file; 0 if all agree."""
+    try:
+        shipped = load_coefficients(COEFFICIENTS.parent)
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 1
+    ok = True
+    for r in records:
+        entry = shipped.pop((r["v"], r["L"]), None)
+        if entry is None:
+            print(f"  (v={r['v']}, L={r['L']}): missing from {COEFFICIENTS}")
+            ok = False
+            continue
+        worst = max(_relative_deviation(r[name], value)
+                    for name, value in zip(CONSTANTS, entry.coefficients))
+        within = worst <= CHECK_RELATIVE_BOUND
+        ok = ok and within
+        print(f"  (v={r['v']}, L={r['L']}): worst relative deviation {worst:.2e}"
+              f"{'' if within else ' FAIL'}")
+    for level in shipped:
+        print(f"  (v={level.v}, L={level.L}): in {COEFFICIENTS} but not refit")
+        ok = False
+    print(f"{'ok' if ok else 'FAIL'}: refit against {COEFFICIENTS}, "
+          f"bound {CHECK_RELATIVE_BOUND:.0e} relative")
+    return 0 if ok else 1
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--check", action="store_true",
+                        help="compare a refit with the shipped file and write nothing")
+    args = parser.parse_args()
+    records = fit_records()
+    if args.check:
+        return check(records)
     payload = {
         "units": "MHz",
         "description": (
@@ -78,9 +142,8 @@ def main() -> int:
         ),
         "coefficients": records,
     }
-    out = REPO / "src" / "h2plus" / "data" / "hyperfine_coefficients.json"
-    out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {out} ({len(records)} records)")
+    COEFFICIENTS.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {COEFFICIENTS} ({len(records)} records)")
     for r in records:
         print(
             f"  (v={r['v']}, L={r['L']}): b_F={r['b_F']:.6f} c_e={r['c_e']:.6f} "

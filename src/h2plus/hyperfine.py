@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import cache
 from operator import mul
 from typing import NamedTuple
 
@@ -261,10 +262,6 @@ _MIXING_WEIGHT = 100.0
 
 _SHIFT_RESIDUAL_LIMIT_MHZ = 1e-3
 
-# Forward-difference step of the fit Jacobian, relative to max(|c|, 1): the
-# square root of the machine epsilon, as in MINPACK's lmdif.
-_DIFF_STEP = math.sqrt(sys.float_info.epsilon)
-
 # Gauss-Newton steps allowed before the fit counts as not converged.
 _MAX_STEPS = 20
 
@@ -321,16 +318,25 @@ def _reconstruct_entries(L: int, observed: HyperfineSolution) -> dict[str, float
     return entries
 
 
+@cache
+def _unit_entries(L: int) -> tuple[dict[str, float], ...]:
+    """Matrix entries A..K of each unit coefficient vector, in the order
+    b_F, c_e, c_I, d_1, d_2.
+
+    The entries are linear in the five constants, so these are also their
+    derivatives dM/dp_j, the same at every point.
+    """
+    units = ([1.0 if i == j else 0.0 for i in range(5)] for j in range(5))
+    return tuple(
+        hfs_matrix_entries(L, HyperfineCoefficients.from_array(unit)) for unit in units
+    )
+
+
 def _linear_fit(L: int, observed: HyperfineSolution) -> list[float]:
     """Least-squares coefficients from the linearity of the matrix entries."""
     target = _reconstruct_entries(L, observed)
     keys = sorted(target)
-    design = []
-    for col in range(5):
-        unit = [0.0] * 5
-        unit[col] = 1.0
-        entries = hfs_matrix_entries(L, HyperfineCoefficients.from_array(unit))
-        design.append([entries[k] for k in keys])
+    design = [[entries[k] for k in keys] for entries in _unit_entries(L)]
     return _least_squares(design, [target[k] for k in keys])
 
 
@@ -348,6 +354,48 @@ def _observation_vector(solution: HyperfineSolution) -> list[float]:
     return obs
 
 
+def _jacobian(L: int, solution: HyperfineSolution) -> list[list[float]] | None:
+    """Columns d(observation vector)/dp_j of a `diagonalize_odd` solution,
+    in closed form.
+
+    In each J block, with the F~=3/2 eigenvector (C3, C1) over the
+    (F=3/2, F=1/2) basis and gap = lambda_3/2 - lambda_1/2, first-order
+    perturbation theory gives
+
+        dlambda_3/2 = C3^2 dM33 + C1^2 dM11 + 2 C3 C1 dM31
+        dlambda_1/2 = C1^2 dM33 + C3^2 dM11 - 2 C1 C3 dM31
+        dC1 = -C3 (C1 C3 (dM33 - dM11) + (C1^2 - C3^2) dM31) / gap
+
+    Both mixing observations of a block are C1 of its F~=3/2 state (the
+    F~=1/2 partner's C3 is that same number), so both rows get dC1.  The
+    pure J = L +/- 3/2 shifts are the entries A and K themselves.  Returns
+    None when a block is degenerate (gap 0): its eigenvectors have no
+    derivative there.
+    """
+    # diagonalize_odd orders its states as _canonical_states does
+    _, up_hi, up_lo, dn_hi, dn_lo = solution.states[:5]
+    blocks = []
+    for keys, hi, lo in ((("B", "D", "C"), up_hi, up_lo), (("E", "H", "G"), dn_hi, dn_lo)):
+        gap = hi.shift_mhz - lo.shift_mhz
+        if gap == 0.0:
+            return None
+        blocks.append((*keys, hi.c3, hi.c1, gap))
+    columns = []
+    for d in _unit_entries(L):
+        shifts = [d["A"]]
+        mixings = []
+        for k33, k11, k31, c3, c1, gap in blocks:
+            d33, d11, d31 = d[k33], d[k11], d[k31]
+            shifts.append(c3 * c3 * d33 + c1 * c1 * d11 + 2.0 * c3 * c1 * d31)
+            shifts.append(c1 * c1 * d33 + c3 * c3 * d11 - 2.0 * c1 * c3 * d31)
+            dc1 = -c3 * (c1 * c3 * (d33 - d11) + (c1 * c1 - c3 * c3) * d31) / gap
+            mixings += [_MIXING_WEIGHT * dc1] * 2
+        if L >= 3:
+            shifts.append(d["K"])
+        columns.append(shifts + mixings)
+    return columns
+
+
 def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
     """Recover the five Hamiltonian constants from an observed solution.
 
@@ -355,11 +403,13 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
     level (shifts plus mixing coefficients).  A linear reconstruction of the
     matrix entries seeds a Gauss-Newton polish on the shifts and on the
     small mixing amplitudes.  Each step solves the linearized least-squares
-    problem with a forward-difference Jacobian and is kept only if it lowers
-    the residual norm; the first step that does not ends the polish, so the
-    result is deterministic.  Raises FitError if the residual norm is still
-    falling after _MAX_STEPS steps, if a least-squares system is rank
-    deficient, or if a shift residual exceeds _SHIFT_RESIDUAL_LIMIT_MHZ.
+    problem with the closed-form Jacobian of `_jacobian`, taken from the
+    one diagonalization that evaluated the current constants, and is kept
+    only if it lowers the residual norm; the first step that does not ends
+    the polish, so the result is deterministic.  Raises FitError if the
+    residual norm is still falling after _MAX_STEPS steps, if a
+    least-squares system is rank deficient, or if a shift residual exceeds
+    _SHIFT_RESIDUAL_LIMIT_MHZ.
     """
     if L % 2 == 0:
         raise ValueError("fit_coefficients handles odd L; use fit_even_coefficient")
@@ -371,26 +421,23 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
 
     target = _observation_vector(observed)
 
-    def residuals(params):
+    def evaluate(params):
         predicted = diagonalize_odd(L, HyperfineCoefficients.from_array(params),
                                     v=observed.level.v)
-        return [p - t for p, t in zip(_observation_vector(predicted), target)]
+        return predicted, [p - t for p, t in zip(_observation_vector(predicted), target)]
 
     params = _linear_fit(L, observed)
-    res = residuals(params)
+    solution, res = evaluate(params)
     for _ in range(_MAX_STEPS):
-        jac = []
-        for col in range(5):
-            h = _DIFF_STEP * max(abs(params[col]), 1.0)
-            shifted = list(params)
-            shifted[col] += h
-            jac.append([(r - r0) / h for r, r0 in zip(residuals(shifted), res)])
+        jac = _jacobian(L, solution)
+        if jac is None:
+            break  # no step is defined, so none can lower the residual
         step = _least_squares(jac, [-r for r in res])
         trial_params = [p + s for p, s in zip(params, step)]
-        trial = residuals(trial_params)
+        trial_solution, trial = evaluate(trial_params)
         if not _dot(trial, trial) < _dot(res, res):
             break
-        params, res = trial_params, trial
+        params, solution, res = trial_params, trial_solution, trial
     else:
         raise FitError(f"coefficient fit did not converge in {_MAX_STEPS} Gauss-Newton steps")
 

@@ -23,8 +23,9 @@ from .hyperfine import HyperfineEigenstate, HyperfineSolution, RoVibLevel
 from .twophoton import (
     OrbitalReducedElements,
     PolarizationPair,
+    _channel_sum,
+    _orbital_elements,
     averaged_from_reduced,
-    hyperfine_reduced_q,
     polarization_weights,
 )
 
@@ -122,7 +123,9 @@ def two_photon_spectrum(
 
     The polarization weights (a00, a(2)_q) come from the per-process cache
     of `polarization_weights`, the reduced elements <gJ||Q(k)||eJ'> are
-    computed once per line and rank, and each intensity once per line and
+    computed once per line and rank through the channel sum of
+    `hyperfine_reduced_q`, whose checks and per-transition numbers are taken
+    once per call, and each intensity once per line and
     distinct weight pair from those numbers through the same
     `averaged_from_reduced` as `averaged_sq_matrix_element`, so both give
     identical floats.  The nine pairs carry four distinct weight pairs.
@@ -137,13 +140,19 @@ def two_photon_spectrum(
         (pol, distinct.setdefault(polarization_weights(pol), len(distinct)))
         for pol in pols
     ]
+    q0, q2 = _orbital_elements(lower_sol.level, upper_sol.level, orb)
+    tl, tlp = 2 * lower_sol.level.L, 2 * upper_sol.level.L
+    with_f32 = lower_sol.level.nuclear_spin == 1
     lines = []
     for lo in lower_sol.states:
         for up in upper_sol.states:
-            reduced0 = hyperfine_reduced_q(0, lo, up, orb)
-            reduced2 = hyperfine_reduced_q(2, lo, up, orb)
+            tj, tjp = lo.j.twice, up.j.twice
+            w1 = lo.c1 * up.c1
+            w3 = lo.c3 * up.c3 if with_f32 else 0.0
+            reduced0 = _channel_sum(tl, 0, tlp, tj, tjp, w1, w3, q0) if q0 != 0.0 else 0.0
+            reduced2 = _channel_sum(tl, 4, tlp, tj, tjp, w1, w3, q2) if q2 != 0.0 else 0.0
             values = [
-                averaged_from_reduced(a00, a2, reduced0, reduced2, lo.j.twice)
+                averaged_from_reduced(a00, a2, reduced0, reduced2, tj)
                 for a00, a2 in distinct
             ]
             intensity = {pol: values[slot] for pol, slot in slots}
@@ -176,6 +185,20 @@ def two_photon_spectrum(
     )
 
 
+def _numpy():
+    """numpy, which only the profile functions below use.  It is the
+    optional extra h2plus[profile], so its absence gets an error that says
+    how to install it."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise ImportError(
+            "FrequencyGrid.frequencies and convolve_profile need numpy: "
+            "pip install 'h2plus[profile]'"
+        ) from exc
+    return numpy
+
+
 class FrequencyGrid(NamedTuple("FrequencyGrid", [
     ("start_mhz", float), ("stop_mhz", float), ("step_mhz", float),
 ])):
@@ -191,8 +214,7 @@ class FrequencyGrid(NamedTuple("FrequencyGrid", [
         return super().__new__(cls, start_mhz, stop_mhz, step_mhz)
 
     def frequencies(self) -> np.ndarray:
-        import numpy as np
-
+        np = _numpy()
         n = int(math.floor((self.stop_mhz - self.start_mhz) / self.step_mhz + 1e-9)) + 1
         return self.start_mhz + self.step_mhz * np.arange(n)
 
@@ -211,8 +233,7 @@ def convolve_profile(
     Returns (frequencies_MHz, samples).  numpy is imported here and in
     `FrequencyGrid.frequencies` only, so line lists never load it.
     """
-    import numpy as np
-
+    np = _numpy()
     if gamma_f_rad_s <= 0.0:
         raise ValueError(f"instrumental width must be positive, got {gamma_f_rad_s}")
     freqs = grid.frequencies()

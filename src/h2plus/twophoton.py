@@ -155,13 +155,6 @@ class OrbitalReducedElements(NamedTuple("OrbitalReducedElements", [
             raise ValueError("Q(0) must vanish unless L = L'")
         return super().__new__(cls, lower, upper, q0, q2)
 
-    def element(self, k: int) -> float:
-        if k == 0:
-            return self.q0
-        if k == 2:
-            return self.q2
-        raise ValueError(f"rank must be 0 or 2, got {k}")
-
 
 class IntermediateSums(NamedTuple):
     """The three partial sums over intermediate states with orbital momentum
@@ -172,8 +165,12 @@ class IntermediateSums(NamedTuple):
     a_plus: float
 
 
+@cache
 def tensor_coefficients(pair: PolarizationPair) -> TensorCoeffs:
-    """Polarization weights a(k)_q = <1 1 q1 q2 | k q> for k = 0 and 2."""
+    """Polarization weights a(k)_q = <1 1 q1 q2 | k q> for k = 0 and 2.
+
+    Computed once per pair and process; there are nine pairs and the
+    result is immutable."""
     q = pair.q_total
     a2 = [0.0] * 5
     a2[q + 2] = clebsch_gordan(1, pair.q1, 1, pair.q2, 2, q)
@@ -183,9 +180,8 @@ def tensor_coefficients(pair: PolarizationPair) -> TensorCoeffs:
 
 @cache
 def polarization_weights(pair: PolarizationPair) -> tuple[float, float]:
-    """The two weights a pair can carry: (a00, a(2)_q) with q = q1+q2.
-
-    Computed once per pair and process; there are nine pairs."""
+    """The two weights a pair can carry: (a00, a(2)_q) with q = q1+q2,
+    read from `tensor_coefficients` once per pair and process."""
     coeffs = tensor_coefficients(pair)
     return coeffs.a00, coeffs.a2_at(coeffs.q_total)
 
@@ -227,14 +223,38 @@ def reduced_from_intermediate_sums(
     return OrbitalReducedElements(lower=lower, upper=upper, q0=q0, q2=q2)
 
 
-def _check_levels(
-    lower: HyperfineEigenstate, upper: HyperfineEigenstate, orb: OrbitalReducedElements
-) -> None:
-    if (lower.level.L, upper.level.L) != (orb.lower.L, orb.upper.L):
+def _orbital_elements(
+    lower: RoVibLevel, upper: RoVibLevel, orb: OrbitalReducedElements
+) -> tuple[float, float]:
+    """(<vL||Q(0)||v'L'>, <vL||Q(2)||v'L'>) as they enter the hyperfine
+    reduced elements between two levels: both zero when the levels differ in
+    total nuclear spin, a ValueError when orb is for another L -> L'."""
+    if lower.nuclear_spin != upper.nuclear_spin:
+        return 0.0, 0.0
+    if (lower.L, upper.L) != (orb.lower.L, orb.upper.L):
         raise ValueError(
             f"orbital elements are for L={orb.lower.L}->L'={orb.upper.L}, "
-            f"got states with L={lower.level.L}->L'={upper.level.L}"
+            f"got states with L={lower.L}->L'={upper.L}"
         )
+    return orb.q0, orb.q2
+
+
+def _channel_sum(
+    tl: int, tk: int, tlp: int, tj: int, tjp: int, w1: float, w3: float, orbital: float
+) -> float:
+    """The pure-F channel sum of `hyperfine_reduced_q` on 2j integers, with
+    the channel weights w1 = C_1/2(g) C_1/2(e) and w3 = C_3/2(g) C_3/2(e)
+    (zero for I = 0) already formed."""
+    total = 0.0
+    for tf, weight in ((1, w1), (3, w3)):
+        if weight == 0.0:
+            continue
+        six = _six_j(tl, tk, tlp, tjp, tf, tj)
+        if six == 0.0:
+            continue
+        phase = -1 if ((tjp + tl + tf + tk) // 2) % 2 else 1
+        total += weight * phase * six
+    return total * math.sqrt((tj + 1.0) * (tjp + 1.0)) * orbital
 
 
 def hyperfine_reduced_q(
@@ -253,29 +273,13 @@ def hyperfine_reduced_q(
     """
     if k not in (0, 2):
         raise ValueError(f"rank must be 0 or 2, got {k}")
-    if lower.level.nuclear_spin != upper.level.nuclear_spin:
-        return 0.0
-    _check_levels(lower, upper, orb)
-    orbital = orb.element(k)
+    orbital = _orbital_elements(lower.level, upper.level, orb)[k // 2]
     if orbital == 0.0:
         return 0.0
-
-    tl, tlp, tk = 2 * lower.level.L, 2 * upper.level.L, 2 * k
-    tj, tjp = lower.j.twice, upper.j.twice
-    # (2F, C_F(g) * C_F(e)) per channel; F = 3/2 exists only for I = 1
-    channels = [(1, lower.c1 * upper.c1)]
-    if lower.level.nuclear_spin == 1:
-        channels.append((3, lower.c3 * upper.c3))
-    total = 0.0
-    for tf, weight in channels:
-        if weight == 0.0:
-            continue
-        six = _six_j(tl, tk, tlp, tjp, tf, tj)
-        if six == 0.0:
-            continue
-        phase = -1 if ((tjp + tl + tf + tk) // 2) % 2 else 1
-        total += weight * phase * six
-    return total * math.sqrt((tj + 1.0) * (tjp + 1.0)) * orbital
+    # F = 3/2 exists only for I = 1
+    w3 = lower.c3 * upper.c3 if lower.level.nuclear_spin == 1 else 0.0
+    return _channel_sum(2 * lower.level.L, 2 * k, 2 * upper.level.L, lower.j.twice,
+                        upper.j.twice, lower.c1 * upper.c1, w3, orbital)
 
 
 def averaged_from_reduced(

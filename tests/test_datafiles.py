@@ -227,17 +227,39 @@ class TestBuildScript:
     without arguments; it runs from a copy so the shipped file is never at
     stake."""
 
-    @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["--bogus"], 2)])
-    def test_arguments_never_overwrite(self, tmp_path, argv, code):
+    @staticmethod
+    def _copy(tmp_path):
         repo = Path(__file__).resolve().parents[1]
         for name in ("scripts", "src"):
             shutil.copytree(repo / name, tmp_path / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        target = tmp_path / "src" / "h2plus" / "data" / "hyperfine_coefficients.json"
-        before = target.read_bytes()
-        proc = subprocess.run(
+        return tmp_path / "src" / "h2plus" / "data" / "hyperfine_coefficients.json"
+
+    @staticmethod
+    def _run(tmp_path, argv):
+        return subprocess.run(
             [sys.executable, str(tmp_path / "scripts" / "build_coefficients.py"), *argv],
             capture_output=True, text=True, timeout=120,
         )
+
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["--bogus"], 2), (["--check"], 0)])
+    def test_arguments_never_overwrite(self, tmp_path, argv, code):
+        target = self._copy(tmp_path)
+        before = target.read_bytes()
+        proc = self._run(tmp_path, argv)
         assert proc.returncode == code, proc.stderr
         assert target.read_bytes() == before
+
+    def test_check_fails_on_an_edited_coefficient(self, tmp_path):
+        target = self._copy(tmp_path)
+        payload = json.loads(target.read_text())
+        record = next(r for r in payload["coefficients"] if (r["v"], r["L"]) == (1, 3))
+        record["d_1"] *= 1 + 1e-5
+        edited = json.dumps(payload, indent=1) + "\n"
+        target.write_text(edited)
+        proc = self._run(tmp_path, ["--check"])
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        failed = re.findall(r"\(v=(\d), L=(\d)\): worst relative deviation \S+ FAIL",
+                            proc.stdout)
+        assert failed == [("1", "3")], proc.stdout
+        assert target.read_text() == edited

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from h2plus import hyperfine
 from h2plus.angular import HalfInt, wigner6j
@@ -320,6 +322,30 @@ class TestFitCoefficients:
         with pytest.raises(FitError, match="did not converge"):
             fit_coefficients(observed.level.L, observed)
 
+    def test_fit_diagonalizes_once_per_step(self, monkeypatch, reference_levels_odd):
+        # one diagonalization seeds the polish and one evaluates each trial
+        # step; the Jacobian comes from the evaluation, not from extra calls
+        calls = []
+        diagonalize = hyperfine.diagonalize_odd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return diagonalize(*args, **kwargs)
+
+        monkeypatch.setattr(hyperfine, "diagonalize_odd", counted)
+        for observed in reference_levels_odd:
+            calls.clear()
+            fit_coefficients(observed.level.L, observed)
+            assert len(calls) <= 6, observed.level
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_degenerate_blocks_end_the_polish(self, L):
+        # all-zero constants make both J blocks degenerate, where the
+        # eigenvectors have no derivative; the exact seed is returned
+        fit = fit_coefficients(L, diagonalize_odd(L, HyperfineCoefficients()))
+        assert coefficient_array(fit.coefficients).tolist() == [0.0] * 5
+        assert fit.residual_norm_mhz == 0.0
+
     def test_refit_reproduces_shipped_constants(self, reference_levels_odd, coefficients):
         for observed in reference_levels_odd:
             fit = fit_coefficients(observed.level.L, observed)
@@ -368,6 +394,43 @@ class TestFitCoefficients:
         assert fit_even_coefficient(0, 0.0).coefficients.c_e == 0.0
         with pytest.raises(ValueError):
             fit_even_coefficient(1, 10.0)
+
+
+def _observations(L, params):
+    solution = diagonalize_odd(L, HyperfineCoefficients.from_array(params))
+    return np.array(hyperfine._observation_vector(solution))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.sampled_from(range(1, 43, 2)),
+    params=st.tuples(
+        st.floats(500.0, 1000.0),
+        st.floats(-100.0, 100.0),
+        st.floats(-100.0, 100.0),
+        st.floats(-200.0, 200.0),
+        st.floats(-200.0, 200.0),
+    ),
+)
+@example(L=1, params=(900.0, 25.0, 25.0, 4.0, 4.0))  # the pure-state point
+@example(L=41, params=(900.0, 25.0, 25.0, 4.0, 4.0))
+def test_jacobian_matches_central_differences(L, params):
+    """The closed-form fit Jacobian against central differences of the
+    observation vector, relative to each column's largest entry."""
+    solution = diagonalize_odd(L, HyperfineCoefficients.from_array(params))
+    shifts = [s.shift_mhz for s in solution.states]
+    gaps = [shifts[1] - shifts[2], shifts[3] - shifts[4]]
+    # central differences lose their accuracy near a degenerate block
+    assume(min(map(abs, gaps)) > 0.1 * max(map(abs, shifts)))
+    jacobian = hyperfine._jacobian(L, solution)
+    for col, column in enumerate(jacobian):
+        h = 1e-4 * max(abs(params[col]), 1.0)
+        up, down = list(params), list(params)
+        up[col] += h
+        down[col] -= h
+        central = (_observations(L, up) - _observations(L, down)) / (2 * h)
+        scale = np.max(np.abs(central))
+        assert np.max(np.abs(np.array(column) - central)) <= 1e-6 * scale, col
 
 
 class TestCoefficientsType:

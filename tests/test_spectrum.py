@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -187,6 +188,15 @@ class TestConvolveProfile:
             FrequencyGrid(-1.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             FrequencyGrid(1.0, -1.0, 0.1)
+
+    def test_missing_numpy_names_the_extra(self, spectra, monkeypatch):
+        # a None entry makes `import numpy` raise ImportError
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        grid = FrequencyGrid(-1.0, 1.0, 0.1)
+        with pytest.raises(ImportError, match=r"h2plus\[profile\]"):
+            grid.frequencies()
+        with pytest.raises(ImportError, match=r"h2plus\[profile\]"):
+            convolve_profile(spectra[0].lines, PI_PI, self.GAMMA, grid)
 
 
 class TestExports:
