@@ -336,6 +336,7 @@ class DataSet:
 
     def __init__(self, data_dir: str | os.PathLike | None = None):
         self.path = resolve_data_dir(data_dir)
+        self._solutions: dict[RoVibLevel, HyperfineSolution] = {}
 
     @cached_property
     def coefficients(self) -> dict[RoVibLevel, CoefficientRecord]:
@@ -362,14 +363,18 @@ class DataSet:
         return load_reference_lines(self.path)
 
     def solve(self, level: RoVibLevel) -> HyperfineSolution:
-        """The level's hyperfine solution.  Coefficients that put a shift or
-        a mixing amplitude out of floating-point range are a DataError."""
+        """The level's hyperfine solution, computed once per level.
+        Coefficients that put a shift or a mixing amplitude out of
+        floating-point range are a DataError."""
+        if level in self._solutions:
+            return self._solutions[level]
         solution = solve_level(level.v, level.L, self.coefficients)
         if not all(math.isfinite(x) for s in solution.states for x in (s.shift_mhz, s.c1, s.c3)):
             raise DataError(
                 f"{self.path / COEFFICIENTS_FILE}: the coefficients of (v={level.v}, "
                 f"L={level.L}) put a shift or mixing out of floating-point range"
             )
+        self._solutions[level] = solution
         return solution
 
     def spectrum(

@@ -221,6 +221,21 @@ class TestValidateReads:
     def test_tensor_check_reads_nothing(self, monkeypatch):
         assert self._reads(monkeypatch, ["tensor-coefficients"], None) == Counter()
 
+    def test_each_level_solved_once(self, monkeypatch):
+        from h2plus import datafiles
+        from h2plus.validate import run_checks
+
+        solves = Counter()
+        solve = datafiles.solve_level
+
+        def counting(v, L, coefficients=None):
+            solves[v, L] += 1
+            return solve(v, L, coefficients=coefficients)
+
+        monkeypatch.setattr(datafiles, "solve_level", counting)
+        assert all(result.passed for result in run_checks())
+        assert solves == Counter({(v, L): 1 for v in (0, 1) for L in range(4)})
+
 
 class TestBuildScript:
     """scripts/build_coefficients.py writes the data file only when run
