@@ -8,8 +8,9 @@ residuals recorded alongside each record.
 
 With --check it writes nothing: it refits, prints the worst relative
 deviation of each level's constants from the shipped file, and exits 1 if
-any exceeds CHECK_RELATIVE_BOUND (a constant shipped as exactly zero must
-refit to exactly zero) or the levels differ, 0 otherwise.
+any exceeds 2e-6 (a constant shipped as exactly zero must refit to exactly
+zero) or the levels differ, 0 otherwise.  An unreadable data file or a
+failed fit exits 1 in either mode.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from h2plus.datafiles import (
     load_reference_levels_even,
     load_reference_levels_odd,
 )
-from h2plus.hyperfine import fit_coefficients, fit_even_coefficient
+from h2plus.hyperfine import FitError, fit_coefficients, fit_even_coefficient
 
 ODD_PROVENANCE = (
     "least-squares fit to published hyperfine level shifts and mixing coefficients"
@@ -103,7 +104,7 @@ def check(records: list[dict]) -> int:
     try:
         shipped = load_coefficients(COEFFICIENTS.parent)
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     ok = True
     for r in records:
@@ -131,7 +132,11 @@ def main() -> int:
     parser.add_argument("--check", action="store_true",
                         help="compare a refit with the shipped file and write nothing")
     args = parser.parse_args()
-    records = fit_records()
+    try:
+        records = fit_records()
+    except (DataError, FitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.check:
         return check(records)
     payload = {

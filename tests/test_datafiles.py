@@ -278,3 +278,14 @@ class TestBuildScript:
                             proc.stdout)
         assert failed == [("1", "3")], proc.stdout
         assert target.read_text() == edited
+
+    @pytest.mark.parametrize("argv", [[], ["--check"]])
+    def test_unreadable_reference_exits_1(self, tmp_path, argv):
+        target = self._copy(tmp_path)
+        before = target.read_bytes()
+        reference = target.parent / "reference" / "levels_odd.json"
+        reference.write_text(reference.read_text().replace('"C1"', '"C_1"', 1))
+        proc = self._run(tmp_path, argv)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert target.read_bytes() == before
