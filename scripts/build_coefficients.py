@@ -2,7 +2,7 @@
 """Regenerate the fitted hyperfine-coefficient data file.
 
 Reads the published level shifts and mixing coefficients bundled under
-src/h2plus/data/reference/ and inverts them with the package's fitting
+src/h2plus/data/reference/ (never $H2PLUS_DATA_DIR) and inverts them with the package's fitting
 routines, writing src/h2plus/data/hyperfine_coefficients.json with the fit
 residuals recorded alongside each record.
 
@@ -52,7 +52,7 @@ CHECK_RELATIVE_BOUND = 2e-6
 def fit_records() -> list[dict]:
     """One coefficient record per reference level, sorted by (v, L)."""
     records = []
-    for entry in load_reference_levels_even():
+    for entry in load_reference_levels_even(COEFFICIENTS.parent):
         L, v = entry["L"], entry["v"]
         fit = fit_even_coefficient(
             L, entry["shift_upper_J_MHz"], entry.get("shift_lower_J_MHz")
@@ -72,7 +72,7 @@ def fit_records() -> list[dict]:
                 "fit_residual_MHz": fit.max_shift_residual_mhz,
             }
         )
-    for observed in load_reference_levels_odd():
+    for observed in load_reference_levels_odd(COEFFICIENTS.parent):
         fit = fit_coefficients(observed.level.L, observed)
         c = fit.coefficients
         records.append(

@@ -1,12 +1,13 @@
 """Exact angular-momentum algebra over half-integer quantum numbers.
 
 Wigner 3j/6j symbols and Clebsch-Gordan coefficients are evaluated with the
-Racah sum formula using exact integer factorials and rational arithmetic;
-each value is the correctly rounded square root of a rational, so no
-cancellation error accumulates.  Couplings that violate a triangle or
-projection rule return exactly 0.0, which lets selection rules emerge from
-the algebra; only structurally malformed inputs (negative magnitudes, a j/m
-parity mismatch) raise ValueError.
+Racah sum formula on plain integers: each alternating series is summed
+exactly as one integer numerator over a common factorial denominator, and
+each value is the square root of the correctly rounded quotient of two
+exact integers, so no cancellation error accumulates.  Couplings that
+violate a triangle or projection rule return exactly 0.0, which lets
+selection rules emerge from the algebra; only structurally malformed
+inputs (negative magnitudes, a j/m parity mismatch) raise ValueError.
 
 Phases follow the Condon-Shortley convention, with the 6j symbol defined
 through the usual Racah W-coefficient relation.
@@ -18,9 +19,12 @@ for concurrent use.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "HalfInt",
@@ -52,18 +56,19 @@ class HalfInt(NamedTuple("HalfInt", [("twice", int)])):
             return value
         if isinstance(value, bool):
             raise TypeError("bool is not a quantum number")
-        if isinstance(value, int):
-            return cls(2 * value)
-        if isinstance(value, Fraction):
+        # A Fraction can exist only once `fractions` is imported, so look the
+        # class up rather than import it.
+        fractions = sys.modules.get("fractions")
+        if isinstance(value, int) or (fractions and isinstance(value, fractions.Fraction)):
             doubled = 2 * value
             if doubled.denominator != 1:
                 raise ValueError(f"{value} is not a multiple of 1/2")
             return cls(int(doubled))
         if isinstance(value, float):
             doubled = 2.0 * value
-            if doubled != round(doubled):
+            if not doubled.is_integer():
                 raise ValueError(f"{value} is not a multiple of 1/2")
-            return cls(int(round(doubled)))
+            return cls(int(doubled))
         raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
     @classmethod
@@ -111,7 +116,7 @@ class HalfInt(NamedTuple("HalfInt", [("twice", int)])):
         return f"HalfInt({self})"
 
 
-HalfIntLike = Union[HalfInt, int, float, Fraction]
+HalfIntLike = Union[HalfInt, int, float, "Fraction"]
 
 
 def _check_magnitude(tj: int, name: str) -> None:
@@ -135,13 +140,18 @@ def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
     return abs(ta - tb) <= tc <= ta + tb
 
 
-def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
-    return Fraction(
-        math.factorial((ta + tb - tc) // 2)
-        * math.factorial((ta - tb + tc) // 2)
-        * math.factorial((-ta + tb + tc) // 2),
-        math.factorial((ta + tb + tc) // 2 + 1),
-    )
+def _factorials(*args: int) -> int:
+    """Product of the factorials of the arguments."""
+    product = 1
+    for n in args:
+        product *= math.factorial(n)
+    return product
+
+
+def _delta_sq(ta: int, tb: int, tc: int) -> tuple[int, int]:
+    """Squared triangle coefficient as a (numerator, denominator) pair."""
+    return (_factorials((ta + tb - tc) // 2, (ta - tb + tc) // 2, (-ta + tb + tc) // 2),
+            math.factorial((ta + tb + tc) // 2 + 1))
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +164,9 @@ def _three_j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> floa
         return 0.0
 
     # Racah sum; every factorial argument below is a non-negative integer
-    # once the screens above have passed.
+    # once the screens above have passed.  The six arguments sum to
+    # j1 + j2 + j3 for every t, so each term's denominator divides that
+    # factorial exactly: the series is one integer over `common`.
     k1 = (tj1 + tj2 - tj3) // 2
     k2 = (tj1 - tm1) // 2
     k3 = (tj2 + tm2) // 2
@@ -162,33 +174,21 @@ def _three_j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> floa
     k5 = (tj3 - tj1 - tm2) // 2
     t_min = max(0, -k4, -k5)
     t_max = min(k1, k2, k3)
-    total = Fraction(0)
+    common = math.factorial((tj1 + tj2 + tj3) // 2)
+    total = 0
     for t in range(t_min, t_max + 1):
-        den = (
-            math.factorial(t)
-            * math.factorial(k1 - t)
-            * math.factorial(k2 - t)
-            * math.factorial(k3 - t)
-            * math.factorial(k4 + t)
-            * math.factorial(k5 + t)
-        )
-        total += Fraction(-1 if t % 2 else 1, den)
+        term = common // _factorials(t, k1 - t, k2 - t, k3 - t, k4 + t, k5 + t)
+        total += -term if t % 2 else term
     if total == 0:
         return 0.0
 
-    m_fac = (
-        math.factorial((tj1 + tm1) // 2)
-        * math.factorial((tj1 - tm1) // 2)
-        * math.factorial((tj2 + tm2) // 2)
-        * math.factorial((tj2 - tm2) // 2)
-        * math.factorial((tj3 + tm3) // 2)
-        * math.factorial((tj3 - tm3) // 2)
-    )
-    magnitude_sq = _delta_sq(tj1, tj2, tj3) * m_fac * total * total
+    m_fac = _factorials((tj1 + tm1) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2,
+                        (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2)
+    delta_num, delta_den = _delta_sq(tj1, tj2, tj3)
     sign = 1 if total > 0 else -1
     if ((tj1 - tj2 - tm3) // 2) % 2:
         sign = -sign
-    return sign * math.sqrt(float(magnitude_sq))
+    return sign * math.sqrt(delta_num * m_fac * total * total / (delta_den * common * common))
 
 
 @lru_cache(maxsize=None)
@@ -210,32 +210,21 @@ def _six_j(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int) -> float:
     q1 = (tj1 + tj2 + tj4 + tj5) // 2
     q2 = (tj2 + tj3 + tj5 + tj6) // 2
     q3 = (tj3 + tj1 + tj6 + tj4) // 2
-    total = Fraction(0)
+    # The seven factorial arguments in the denominator sum to t, so each
+    # term is (t + 1) times a multinomial coefficient: an integer.
+    total = 0
     for t in range(max(s1, s2, s3, s4), min(q1, q2, q3) + 1):
-        num = math.factorial(t + 1)
-        den = (
-            math.factorial(t - s1)
-            * math.factorial(t - s2)
-            * math.factorial(t - s3)
-            * math.factorial(t - s4)
-            * math.factorial(q1 - t)
-            * math.factorial(q2 - t)
-            * math.factorial(q3 - t)
-        )
-        total += Fraction(-num if t % 2 else num, den)
+        term = math.factorial(t + 1) // _factorials(
+            t - s1, t - s2, t - s3, t - s4, q1 - t, q2 - t, q3 - t)
+        total += -term if t % 2 else term
     if total == 0:
         return 0.0
 
-    magnitude_sq = (
-        _delta_sq(*triads[0])
-        * _delta_sq(*triads[1])
-        * _delta_sq(*triads[2])
-        * _delta_sq(*triads[3])
-        * total
-        * total
-    )
+    deltas = [_delta_sq(*triad) for triad in triads]
+    num = math.prod(n for n, _ in deltas) * total * total
+    den = math.prod(d for _, d in deltas)
     sign = 1 if total > 0 else -1
-    return sign * math.sqrt(float(magnitude_sq))
+    return sign * math.sqrt(num / den)
 
 
 def wigner3j(

@@ -262,6 +262,10 @@ _MIXING_WEIGHT = 100.0
 
 _SHIFT_RESIDUAL_LIMIT_MHZ = 1e-3
 
+# Largest mixing-amplitude residual a fit may leave: the tolerance that
+# `validate` holds the bundled mixing coefficients to.
+_MIXING_RESIDUAL_LIMIT = 1e-5
+
 # Gauss-Newton steps allowed before the fit counts as not converged.
 _MAX_STEPS = 20
 
@@ -408,8 +412,9 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
     only if it lowers the residual norm; the first step that does not ends
     the polish, so the result is deterministic.  Raises FitError if the
     residual norm is still falling after _MAX_STEPS steps, if a
-    least-squares system is rank deficient, or if a shift residual exceeds
-    _SHIFT_RESIDUAL_LIMIT_MHZ.
+    least-squares system is rank deficient, if a shift residual exceeds
+    _SHIFT_RESIDUAL_LIMIT_MHZ, or if a mixing-amplitude residual exceeds
+    _MIXING_RESIDUAL_LIMIT.
     """
     if L % 2 == 0:
         raise ValueError("fit_coefficients handles odd L; use fit_even_coefficient")
@@ -449,6 +454,10 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
         raise FitError(
             f"fit residual {max_shift:.6f} MHz exceeds {_SHIFT_RESIDUAL_LIMIT_MHZ} MHz; "
             f"per-state residuals (MHz): {['%.6f' % r for r in shift_res]}"
+        )
+    if mixing_res > _MIXING_RESIDUAL_LIMIT:
+        raise FitError(
+            f"mixing-amplitude residual {mixing_res:.2e} exceeds {_MIXING_RESIDUAL_LIMIT:.0e}"
         )
     return FitResult(
         coefficients=HyperfineCoefficients.from_array(params),

@@ -9,15 +9,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from h2plus.angular import (
     HalfInt,
+    _six_j,
+    _three_j,
     clebsch_gordan,
     wigner3j,
     wigner6j,
 )
+import racah_oracle
 from spin_oracle import SpinOperator, minus_one_pow, projections, spin_reduced_matrix
 
 HALF = HalfInt(1)
@@ -36,6 +39,9 @@ class TestHalfInt:
             HalfInt.of(0.3)
         with pytest.raises(ValueError):
             HalfInt.of(Fraction(1, 3))
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="not a multiple of 1/2"):
+                HalfInt.of(value)
         with pytest.raises(TypeError):
             HalfInt.of("3/2")  # strings go through parse()
 
@@ -340,3 +346,77 @@ class TestAgainstSymbolicOracle:
             mine = wigner6j(*(HalfInt(t) for t in args))
             ref = float(sympy_wigner.wigner_6j(*(Rational(t, 2) for t in args)))
             assert mine == pytest.approx(ref, abs=1e-14)
+
+
+def _kernel_six_j_family() -> list[tuple[int, ...]]:
+    """The 6j symbols {L k L'; J' F J} of the reduced two-photon elements,
+    in 2j units: L <= 41, L' in {L-2, L, L+2}, k in {0, 2}, F in {1/2, 3/2}
+    and every J, J' that F couples to L, L'.  Members that violate a
+    triangle are kept: both sides must give exactly 0.0 for them."""
+    symbols = set()
+    for L in range(42):
+        for Lp in (L - 2, L, L + 2):
+            if Lp < 0:
+                continue
+            for k in (0, 2):
+                for tf in (1, 3):
+                    for tj in range(abs(2 * L - tf), 2 * L + tf + 1, 2):
+                        for tjp in range(abs(2 * Lp - tf), 2 * Lp + tf + 1, 2):
+                            symbols.add((2 * L, 2 * k, 2 * Lp, tjp, tf, tj))
+    return sorted(symbols)
+
+
+def _three_j_up_to(tj_max: int) -> list[tuple[int, ...]]:
+    """Every 3j symbol with 2j <= tj_max that satisfies the triangle and
+    projection rules, in 2j units."""
+    return [
+        (tj1, tj2, tj3, tm1, tm2, -tm1 - tm2)
+        for tj1 in range(tj_max + 1)
+        for tj2 in range(tj_max + 1)
+        for tj3 in range(abs(tj1 - tj2), min(tj1 + tj2, tj_max) + 1, 2)
+        for tm1 in range(-tj1, tj1 + 1, 2)
+        for tm2 in range(-tj2, tj2 + 1, 2)
+        if abs(tm1 + tm2) <= tj3
+    ]
+
+
+class TestAgainstFractionOracle:
+    """The integer Racah sums give the same float as the term-by-term
+    `Fraction` sums, compared with ==, not within a tolerance."""
+
+    def test_6j_kernel_family(self):
+        symbols = _kernel_six_j_family()
+        assert len(symbols) == 4838
+        mismatches = [s for s in symbols if _six_j.__wrapped__(*s) != racah_oracle.six_j(*s)]
+        assert mismatches == []
+
+    def test_3j_every_symbol_up_to_six(self):
+        symbols = _three_j_up_to(12)
+        assert len(symbols) == 25501
+        mismatches = [s for s in symbols if _three_j.__wrapped__(*s) != racah_oracle.three_j(*s)]
+        assert mismatches == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=4, max_size=4), st.data())
+    def test_6j_random_large(self, twice_js, data):
+        tj1, tj2, tj4, tj5 = twice_js
+
+        def closing(ta, tb, tc, td):
+            # a 2j that closes both triads (ta tb .) and (tc td .)
+            options = [t for t in range(abs(ta - tb), ta + tb + 1, 2)
+                       if racah_oracle._triangle_ok(tc, td, t)]
+            assume(options)
+            return data.draw(st.sampled_from(options))
+
+        args = (tj1, tj2, closing(tj1, tj2, tj4, tj5), tj4, tj5, closing(tj1, tj5, tj4, tj2))
+        assert _six_j.__wrapped__(*args) == racah_oracle.six_j(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 40), st.data())
+    def test_3j_random_large(self, tj1, tj2, data):
+        tj3 = data.draw(st.sampled_from(range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)))
+        tm1 = data.draw(st.sampled_from(range(-tj1, tj1 + 1, 2)))
+        tm2 = data.draw(st.sampled_from(range(-tj2, tj2 + 1, 2)))
+        assume(abs(tm1 + tm2) <= tj3)
+        args = (tj1, tj2, tj3, tm1, tm2, -tm1 - tm2)
+        assert _three_j.__wrapped__(*args) == racah_oracle.three_j(*args)

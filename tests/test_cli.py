@@ -630,9 +630,11 @@ MODULE_PROBE = (
 )
 
 # Standard-library modules no subcommand needs: code generation of record
-# classes (dataclasses and what it imports) and package-resource lookup.
+# classes (dataclasses and what it imports), package-resource lookup and
+# rational arithmetic (the Racah sums run on plain ints).
 UNNEEDED_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize",
-                    "importlib.resources", "zipfile", "tempfile"}
+                    "importlib.resources", "zipfile", "tempfile",
+                    "fractions", "decimal"}
 
 
 def _modules(*args) -> set[str]:

@@ -1,6 +1,7 @@
 """Data file loading, directory resolution and schema validation."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -251,10 +252,10 @@ class TestBuildScript:
         return tmp_path / "src" / "h2plus" / "data" / "hyperfine_coefficients.json"
 
     @staticmethod
-    def _run(tmp_path, argv):
+    def _run(tmp_path, argv, env=None):
         return subprocess.run(
             [sys.executable, str(tmp_path / "scripts" / "build_coefficients.py"), *argv],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
 
     @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["--bogus"], 2), (["--check"], 0)])
@@ -278,6 +279,21 @@ class TestBuildScript:
                             proc.stdout)
         assert failed == [("1", "3")], proc.stdout
         assert target.read_text() == edited
+
+    @pytest.mark.parametrize("edited", [False, True], ids=["missing", "edited"])
+    def test_check_ignores_the_data_dir_variable(self, tmp_path, edited):
+        # the references are the checkout's own, wherever H2PLUS_DATA_DIR points
+        target = self._copy(tmp_path / "repo")
+        elsewhere = tmp_path / "elsewhere"
+        if edited:
+            shutil.copytree(target.parent, elsewhere)
+            reference = elsewhere / "reference" / "levels_odd.json"
+            reference.write_text(reference.read_text().replace('"C1"', '"C_1"', 1))
+        before = target.read_bytes()
+        proc = self._run(tmp_path / "repo", ["--check"],
+                         env=dict(os.environ, H2PLUS_DATA_DIR=str(elsewhere)))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert target.read_bytes() == before
 
     @pytest.mark.parametrize("argv", [[], ["--check"]])
     def test_unreadable_reference_exits_1(self, tmp_path, argv):

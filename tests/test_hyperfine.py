@@ -346,6 +346,21 @@ class TestFitCoefficients:
         assert coefficient_array(fit.coefficients).tolist() == [0.0] * 5
         assert fit.residual_norm_mhz == 0.0
 
+    def test_unmatched_mixing_is_fit_error(self):
+        # the mixing amplitudes of real constants with every shift zeroed:
+        # the all-zero constants fit the shifts exactly and miss the
+        # mixings by ~0.09
+        solution = diagonalize_odd(3, HyperfineCoefficients(900.0, 40.0, -40.0, 9.0, 6.0))
+        observed = HyperfineSolution(
+            solution.level, tuple(s._replace(shift_mhz=0.0) for s in solution.states))
+        with pytest.raises(FitError, match="mixing-amplitude residual"):
+            fit_coefficients(3, observed)
+
+    def test_mixing_limit_is_the_validate_tolerance(self):
+        from h2plus.validate import MIXING_TOLERANCE
+
+        assert hyperfine._MIXING_RESIDUAL_LIMIT == MIXING_TOLERANCE
+
     def test_refit_reproduces_shipped_constants(self, reference_levels_odd, coefficients):
         for observed in reference_levels_odd:
             fit = fit_coefficients(observed.level.L, observed)
