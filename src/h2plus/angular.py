@@ -1,35 +1,32 @@
 """Exact angular-momentum algebra over half-integer quantum numbers.
 
-Wigner 3j/6j symbols and Clebsch-Gordan coefficients are evaluated with the
-Racah sum formula on plain integers: each alternating series is summed
-exactly as one integer numerator over a common factorial denominator, and
-each value is the square root of the correctly rounded quotient of two
-exact integers, so no cancellation error accumulates.  Couplings that
-violate a triangle or projection rule return exactly 0.0, which lets
-selection rules emerge from the algebra; only structurally malformed
-inputs (negative magnitudes, a j/m parity mismatch) raise ValueError.
+Wigner 6j symbols and Clebsch-Gordan coefficients (through the 3j symbol)
+are evaluated with the Racah sum formula on plain integers: each alternating
+series is summed exactly as one integer numerator over a common factorial
+denominator, and each value is the square root of the correctly rounded
+quotient of two exact integers, so no cancellation error accumulates.
+Couplings that violate a triangle or projection rule return exactly 0.0,
+which lets selection rules emerge from the algebra; only structurally
+malformed inputs (negative magnitudes, a j/m parity mismatch) raise
+ValueError.
 
 Phases follow the Condon-Shortley convention, with the 6j symbol defined
 through the usual Racah W-coefficient relation.
 
-All functions are pure; the internal memo caches are append-only and safe
+Quantum numbers enter as a HalfInt or an int (see `HalfInt.of`).  All
+functions are pure; the internal memo caches are append-only and safe
 for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import NamedTuple, Union
 
 __all__ = [
     "HalfInt",
     "HalfIntLike",
-    "wigner3j",
     "wigner6j",
     "clebsch_gordan",
 ]
@@ -45,30 +42,18 @@ class HalfInt(NamedTuple("HalfInt", [("twice", int)])):
     __slots__ = ()
 
     def __new__(cls, twice: int) -> "HalfInt":
-        if not isinstance(twice, int):
+        if type(twice) is not int:
             raise TypeError(f"twice must be an int, got {type(twice).__name__}")
         return super().__new__(cls, twice)
 
     @classmethod
     def of(cls, value: "HalfIntLike") -> "HalfInt":
-        """Coerce an int, exact multiple of 1/2, Fraction or HalfInt."""
+        """A HalfInt as it is, or an int j as HalfInt(2 * j).  Anything else,
+        a bool, float or string included, is a TypeError."""
         if isinstance(value, HalfInt):
             return value
-        if isinstance(value, bool):
-            raise TypeError("bool is not a quantum number")
-        # A Fraction can exist only once `fractions` is imported, so look the
-        # class up rather than import it.
-        fractions = sys.modules.get("fractions")
-        if isinstance(value, int) or (fractions and isinstance(value, fractions.Fraction)):
-            doubled = 2 * value
-            if doubled.denominator != 1:
-                raise ValueError(f"{value} is not a multiple of 1/2")
-            return cls(int(doubled))
-        if isinstance(value, float):
-            doubled = 2.0 * value
-            if not doubled.is_integer():
-                raise ValueError(f"{value} is not a multiple of 1/2")
-            return cls(int(doubled))
+        if type(value) is int:
+            return cls(2 * value)
         raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
     @classmethod
@@ -116,7 +101,7 @@ class HalfInt(NamedTuple("HalfInt", [("twice", int)])):
         return f"HalfInt({self})"
 
 
-HalfIntLike = Union[HalfInt, int, float, "Fraction"]
+HalfIntLike = Union[HalfInt, int]
 
 
 def _check_magnitude(tj: int, name: str) -> None:
@@ -225,26 +210,6 @@ def _six_j(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int) -> float:
     den = math.prod(d for _, d in deltas)
     sign = 1 if total > 0 else -1
     return sign * math.sqrt(num / den)
-
-
-def wigner3j(
-    j1: HalfIntLike,
-    j2: HalfIntLike,
-    j3: HalfIntLike,
-    m1: HalfIntLike,
-    m2: HalfIntLike,
-    m3: HalfIntLike,
-) -> float:
-    """Wigner 3j symbol (j1 j2 j3 / m1 m2 m3).
-
-    Returns exactly 0.0 when the triangle rule or m1+m2+m3 = 0 fails.
-    Raises ValueError for a negative magnitude or a j/m parity mismatch.
-    """
-    tj = tuple(HalfInt.of(j).twice for j in (j1, j2, j3))
-    tm = tuple(HalfInt.of(m).twice for m in (m1, m2, m3))
-    for a, b in zip(tj, tm):
-        _check_pair(a, b)
-    return _three_j(tj[0], tj[1], tj[2], tm[0], tm[1], tm[2])
 
 
 def wigner6j(

@@ -40,6 +40,7 @@ __all__ = [
     "DataError",
     "DataSet",
     "DATA_DIR_ENV_VAR",
+    "L_MAX",
     "default_data_dir",
     "resolve_data_dir",
     "CoefficientRecord",
@@ -57,6 +58,11 @@ DATA_DIR_ENV_VAR = "H2PLUS_DATA_DIR"
 COEFFICIENTS_FILE = "hyperfine_coefficients.json"
 ORBITAL_FILE = "orbital_reduced_elements.json"
 CENTERS_FILE = "center_frequencies.json"
+
+# The largest rotational quantum number a data file may name.  The cost of
+# a 6j symbol grows faster than L^2 (a spectrum at L = 20,001 runs for many
+# seconds), so a level far above any bound level of H2+ is rejected on load.
+L_MAX = 100
 
 
 def default_data_dir() -> Path:
@@ -137,9 +143,12 @@ def _transition(lower: RoVibLevel, upper: RoVibLevel) -> str:
 
 def _read_level(record: dict, path: Path, v_key: str = "v", l_key: str = "L") -> RoVibLevel:
     with _checked(path, record):
-        return RoVibLevel(
+        level = RoVibLevel(
             _require(record, v_key, path, _integer), _require(record, l_key, path, _integer)
         )
+        if level.L > L_MAX:
+            raise ValueError(f"{l_key}={level.L} exceeds L_MAX={L_MAX}")
+        return level
 
 
 class CoefficientRecord(NamedTuple):
@@ -260,10 +269,6 @@ def load_reference_levels_even(data_dir=None) -> list[dict]:
     return levels
 
 
-def _half_int(text) -> HalfInt:
-    return HalfInt.parse(str(text))
-
-
 _HALF_INT_TEXT = re.compile(r"\d+(/2)?")
 
 
@@ -272,6 +277,10 @@ def _half_int_text(value) -> str:
     if not isinstance(value, str) or not _HALF_INT_TEXT.fullmatch(value):
         raise ValueError(f"expected a half-integer such as '3/2', got {value!r}")
     return value
+
+
+def _half_int(value) -> HalfInt:
+    return HalfInt.parse(_half_int_text(value))
 
 
 def _intensities(value) -> dict[str, float]:

@@ -16,22 +16,19 @@ import math
 from functools import cache
 from typing import NamedTuple
 
-from .angular import HalfInt, _six_j, clebsch_gordan
+from .angular import _six_j, clebsch_gordan
 from .hyperfine import HyperfineEigenstate, RoVibLevel
 
 __all__ = [
     "PolarizationPair",
     "TensorCoeffs",
     "OrbitalReducedElements",
-    "IntermediateSums",
     "SelectionRuleError",
     "tensor_coefficients",
     "polarization_weights",
     "averaged_from_reduced",
-    "reduced_from_intermediate_sums",
     "hyperfine_reduced_q",
     "averaged_sq_matrix_element",
-    "polarized_matrix_element",
     "PI_PI",
     "SIGMA_PLUS_SIGMA_PLUS",
     "SIGMA_PLUS_SIGMA_MINUS",
@@ -156,15 +153,6 @@ class OrbitalReducedElements(NamedTuple("OrbitalReducedElements", [
         return super().__new__(cls, lower, upper, q0, q2)
 
 
-class IntermediateSums(NamedTuple):
-    """The three partial sums over intermediate states with orbital momentum
-    L-1, L, L+1, in atomic units."""
-
-    a_minus: float
-    a_zero: float
-    a_plus: float
-
-
 @cache
 def tensor_coefficients(pair: PolarizationPair) -> TensorCoeffs:
     """Polarization weights a(k)_q = <1 1 q1 q2 | k q> for k = 0 and 2.
@@ -184,43 +172,6 @@ def polarization_weights(pair: PolarizationPair) -> tuple[float, float]:
     read from `tensor_coefficients` once per pair and process."""
     coeffs = tensor_coefficients(pair)
     return coeffs.a00, coeffs.a2_at(coeffs.q_total)
-
-
-def reduced_from_intermediate_sums(
-    sums: IntermediateSums, lower: RoVibLevel, upper: RoVibLevel
-) -> OrbitalReducedElements:
-    """Assemble <vL||Q(k)||v'L'> from the three intermediate-state sums.
-
-    For L' = L both ranks contribute; for L' = L -/+ 2 only the rank-2
-    element survives and involves a_minus / a_plus alone.
-    """
-    L, Lp = lower.L, upper.L
-    root = math.sqrt(2 * L + 1)
-    am, a0, ap = sums.a_minus, sums.a_zero, sums.a_plus
-    if Lp == L:
-        q0 = -root * math.sqrt(3.0) / 3.0 * (am + a0 + ap)
-        if L == 0:
-            q2 = 0.0
-        else:
-            q2 = (
-                -root
-                / math.sqrt(6.0)
-                * math.sqrt((2 * L + 3) * (2 * L - 1) * L * (L + 1))
-                * (
-                    am / (L * (2 * L - 1))
-                    - a0 / (L * (L + 1))
-                    + ap / ((2 * L + 3) * (L + 1))
-                )
-            )
-    elif Lp == L - 2:
-        q0 = 0.0
-        q2 = -root * math.sqrt((2 * L - 3) / (2 * L - 1)) * am
-    elif Lp == L + 2:
-        q0 = 0.0
-        q2 = -root * math.sqrt((2 * L + 5) / (2 * L + 3)) * ap
-    else:
-        raise SelectionRuleError(f"|L - L'| must be 0 or 2, got L={L}, L'={Lp}")
-    return OrbitalReducedElements(lower=lower, upper=upper, q0=q0, q2=q2)
 
 
 def _orbital_elements(
@@ -310,36 +261,3 @@ def averaged_sq_matrix_element(
     reduced0 = hyperfine_reduced_q(0, lower, upper, orb) if a00 != 0.0 else 0.0
     reduced2 = hyperfine_reduced_q(2, lower, upper, orb) if a2 != 0.0 else 0.0
     return averaged_from_reduced(a00, a2, reduced0, reduced2, lower.j.twice)
-
-
-def polarized_matrix_element(
-    lower: HyperfineEigenstate,
-    m_lower: HalfInt,
-    upper: HyperfineEigenstate,
-    m_upper: HalfInt,
-    pair: PolarizationPair,
-    orb: OrbitalReducedElements,
-) -> float:
-    """Two-photon matrix element between specific magnetic sublevels:
-
-        sum_k a(k)_q <J' k M' q | J M> <gJ||Q(k)||eJ'> / sqrt(2J+1).
-
-    Zero unless M = M' + q1 + q2.
-    """
-    m_lower = HalfInt.of(m_lower)
-    m_upper = HalfInt.of(m_upper)
-    if abs(m_lower.twice) > lower.j.twice or abs(m_upper.twice) > upper.j.twice:
-        raise ValueError("projection exceeds its angular momentum")
-    coeffs = tensor_coefficients(pair)
-    q = coeffs.q_total
-    if m_lower.twice != m_upper.twice + 2 * q:
-        return 0.0
-    total = 0.0
-    for k, amplitude in ((0, coeffs.a00), (2, coeffs.a2_at(q))):
-        if amplitude == 0.0:
-            continue
-        geometry = clebsch_gordan(upper.j, m_upper, k, q, lower.j, m_lower)
-        if geometry == 0.0:
-            continue
-        total += amplitude * geometry * hyperfine_reduced_q(k, lower, upper, orb)
-    return total / math.sqrt(lower.j.twice + 1.0)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from h2plus.angular import HalfInt, wigner3j, wigner6j
+from h2plus.angular import HalfInt, wigner6j
 from h2plus.datafiles import solve_level
 from h2plus.hyperfine import (
     F_HALF,
@@ -35,12 +35,12 @@ from h2plus.spectrum import two_photon_spectrum
 from h2plus.twophoton import (
     PolarizationPair,
     averaged_sq_matrix_element,
-    polarized_matrix_element,
     tensor_coefficients,
 )
 from h2plus.validate import intensity_within_tolerance
 from matrix_oracle import allowed_spin_states, build_hfs_matrix
 from spin_oracle import projections
+from sublevel_oracle import polarized_matrix_element, wigner3j
 
 PI_PI = PolarizationPair.from_token("pipi")
 SP_SP = PolarizationPair.from_token("spsp")

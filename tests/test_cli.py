@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from h2plus.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VALIDATION, main
-from h2plus.datafiles import default_data_dir
+from h2plus.datafiles import L_MAX, default_data_dir
 from h2plus.validate import run_checks
 
 
@@ -265,6 +265,11 @@ def _drop_c1(payload):
     del payload["levels"][0]["states"][0]["C1"]
 
 
+def _odd_label(key, value):
+    """Set the F_tilde or J label of the first (F~=3/2, J=5/2) state."""
+    return lambda p: p["levels"][0]["states"][0].update({key: value})
+
+
 def _overflow_l2_line_shifts(payload):
     """Finite c_e whose (0,2)->(1,2) line shifts exceed the float range."""
     for record in payload["coefficients"]:
@@ -333,11 +338,15 @@ class TestMalformedData:
              lambda p: p["transitions"][1]["lines"][0]["intensity"].update(pipi="abc")),
             ("two_photon_lines.json",
              lambda p: p["transitions"][1]["lines"][0]["intensity"].update(spsm=math.nan)),
+            ("levels_odd.json", _odd_label("J", "+5/2")),
+            ("levels_odd.json", _odd_label("J", "-1/2")),
+            ("levels_odd.json", _odd_label("F_tilde", 3)),
         ],
         ids=["even-shift-string", "even-shift-nan", "even-negative-L", "even-list-record",
              "transition-number", "transition-level-string", "transition-missing-lines",
              "line-shift-string", "line-label-number", "line-label-malformed",
-             "line-intensity-list", "line-intensity-string", "line-intensity-nan"],
+             "line-intensity-list", "line-intensity-string", "line-intensity-nan",
+             "odd-label-plus-sign", "odd-label-negative", "odd-label-number"],
     )
     def test_malformed_reference_value_is_data_error(self, capsys, tmp_path, name, corrupt):
         self._assert_data_error(capsys, tmp_path, f"reference/{name}", corrupt, ["validate"])
@@ -705,6 +714,31 @@ def test_spectrum_path_loads_no_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_env_with_path(), check=True)
     assert proc.stdout == "False\n"
+
+
+def test_level_beyond_l_max_exits_at_once(tmp_path):
+    """A data directory with the levels (0, 20001) and (1, 20001) is a data
+    error on load that names the coefficient file, not a spectrum whose 6j
+    sums run for many seconds."""
+    L = 20_001
+    data = tmp_path / "data"
+    shutil.copytree(default_data_dir(), data)
+    coefficients = json.loads((data / "hyperfine_coefficients.json").read_text())
+    odd = next(r for r in coefficients["coefficients"] if (r["v"], r["L"]) == (0, 1))
+    coefficients["coefficients"] += [dict(odd, v=v, L=L) for v in (0, 1)]
+    (data / "hyperfine_coefficients.json").write_text(json.dumps(coefficients))
+    orbital = json.loads((data / "orbital_reduced_elements.json").read_text())
+    orbital["elements"].append({"v": 0, "L": L, "v_prime": 1, "L_prime": L, "Q0": 1.0, "Q2": 1.0})
+    (data / "orbital_reduced_elements.json").write_text(json.dumps(orbital))
+    proc = subprocess.run(
+        [sys.executable, "-m", "h2plus.cli", "spectrum", "--lower", f"0,{L}",
+         "--upper", f"1,{L}", "--data-dir", str(data)],
+        env=_env_with_path(), capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_DATA, "")
+    assert "Traceback" not in proc.stderr
+    assert f"{data / 'hyperfine_coefficients.json'}: invalid record" in proc.stderr
+    assert f"L={L} exceeds L_MAX={L_MAX}" in proc.stderr
 
 
 def test_refit_without_numpy_passes_validate(numpy_blocked_env, tmp_path):

@@ -5,12 +5,9 @@ that also covers L' = L +/- 2."""
 import pytest
 
 from h2plus.spectrum import two_photon_spectrum
-from h2plus.twophoton import (
-    PolarizationPair,
-    averaged_sq_matrix_element,
-    polarized_matrix_element,
-)
+from h2plus.twophoton import PolarizationPair, averaged_sq_matrix_element
 from spin_oracle import projections
+from sublevel_oracle import polarized_matrix_element
 
 ALL_POLS = tuple(
     PolarizationPair.from_token(a + b)

@@ -19,18 +19,20 @@ from h2plus.twophoton import (
     PI_PI,
     SIGMA_PLUS_SIGMA_MINUS,
     SIGMA_PLUS_SIGMA_PLUS,
-    IntermediateSums,
     OrbitalReducedElements,
     PolarizationPair,
     SelectionRuleError,
     averaged_sq_matrix_element,
     hyperfine_reduced_q,
     polarization_weights,
-    polarized_matrix_element,
-    reduced_from_intermediate_sums,
     tensor_coefficients,
 )
 from spin_oracle import minus_one_pow, projections
+from sublevel_oracle import (
+    IntermediateSums,
+    polarized_matrix_element,
+    reduced_from_intermediate_sums,
+)
 
 ALL_PAIRS = [PolarizationPair(q1, q2) for q1 in (-1, 0, 1) for q2 in (-1, 0, 1)]
 
