@@ -7,6 +7,7 @@ against that oracle runs at the end of the module.
 
 import math
 import typing
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,7 +36,8 @@ class TestHalfInt:
 
     def test_rejects_non_half_integers(self):
         # only a HalfInt or an int gets in; strings go through parse()
-        for value in (1.5, 0.3, float("inf"), float("nan"), True, "3/2"):
+        for value in (1.5, 0.3, float("inf"), float("nan"), Fraction(1, 3),
+                      Fraction(5, 2), True, "3/2"):
             with pytest.raises(TypeError, match="cannot interpret"):
                 HalfInt.of(value)
         with pytest.raises(TypeError, match="got bool"):
