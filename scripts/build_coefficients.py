@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the fitted hyperfine-coefficient data file.
 
-Reads the published level shifts and mixing coefficients bundled under
-src/h2plus/data/reference/ (never $H2PLUS_DATA_DIR) and inverts them with the package's fitting
-routines, writing src/h2plus/data/hyperfine_coefficients.json with the fit
-residuals recorded alongside each record.
+Reads the published level shifts and mixing coefficients of this checkout,
+src/h2plus/data/reference/, and inverts them with the package's fitting
+routines, writing src/h2plus/data/hyperfine_coefficients.json in the same
+data directory with the fit residuals recorded alongside each record.
 
 With --check it writes nothing: it refits, prints the worst relative
 deviation of each level's constants from the shipped file, and exits 1 if
@@ -30,7 +30,7 @@ from h2plus.datafiles import (
     load_reference_levels_even,
     load_reference_levels_odd,
 )
-from h2plus.hyperfine import FitError, fit_coefficients, fit_even_coefficient
+from h2plus.hyperfine import FitError, FitResult, fit_coefficients, fit_even_coefficient
 
 ODD_PROVENANCE = (
     "least-squares fit to published hyperfine level shifts and mixing coefficients"
@@ -49,46 +49,24 @@ CONSTANTS = ("b_F", "c_e", "c_I", "d_1", "d_2")
 CHECK_RELATIVE_BOUND = 2e-6
 
 
+def _record(v: int, L: int, fit: FitResult, provenance: str) -> dict:
+    c = fit.coefficients
+    return {"v": v, "L": L, "b_F": c.b_f, "c_e": c.c_e, "c_I": c.c_i, "d_1": c.d1,
+            "d_2": c.d2, "units": "MHz", "provenance": provenance,
+            "fit_residual_MHz": fit.max_shift_residual_mhz}
+
+
 def fit_records() -> list[dict]:
     """One coefficient record per reference level, sorted by (v, L)."""
     records = []
     for entry in load_reference_levels_even(COEFFICIENTS.parent):
-        L, v = entry["L"], entry["v"]
-        fit = fit_even_coefficient(
-            L, entry["shift_upper_J_MHz"], entry.get("shift_lower_J_MHz")
-        )
-        c = fit.coefficients
-        records.append(
-            {
-                "v": v,
-                "L": L,
-                "b_F": c.b_f,
-                "c_e": c.c_e,
-                "c_I": c.c_i,
-                "d_1": c.d1,
-                "d_2": c.d2,
-                "units": "MHz",
-                "provenance": L0_PROVENANCE if L == 0 else EVEN_PROVENANCE,
-                "fit_residual_MHz": fit.max_shift_residual_mhz,
-            }
-        )
+        L = entry["L"]
+        fit = fit_even_coefficient(L, entry["shift_upper_J_MHz"], entry.get("shift_lower_J_MHz"))
+        records.append(_record(entry["v"], L, fit, L0_PROVENANCE if L == 0 else EVEN_PROVENANCE))
     for observed in load_reference_levels_odd(COEFFICIENTS.parent):
-        fit = fit_coefficients(observed.level.L, observed)
-        c = fit.coefficients
-        records.append(
-            {
-                "v": observed.level.v,
-                "L": observed.level.L,
-                "b_F": c.b_f,
-                "c_e": c.c_e,
-                "c_I": c.c_i,
-                "d_1": c.d1,
-                "d_2": c.d2,
-                "units": "MHz",
-                "provenance": ODD_PROVENANCE,
-                "fit_residual_MHz": fit.max_shift_residual_mhz,
-            }
-        )
+        level = observed.level
+        records.append(_record(level.v, level.L, fit_coefficients(level.L, observed),
+                               ODD_PROVENANCE))
     records.sort(key=lambda r: (r["v"], r["L"]))
     return records
 

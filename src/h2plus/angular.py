@@ -13,14 +13,15 @@ ValueError.
 Phases follow the Condon-Shortley convention, with the 6j symbol defined
 through the usual Racah W-coefficient relation.
 
-Quantum numbers enter as a HalfInt or an int (see `HalfInt.of`).  All
-functions are pure; the internal memo caches are append-only and safe
-for concurrent use.
+Quantum numbers enter as a HalfInt or an int (see `HalfInt.of`), and
+labels as text only through `HalfInt.parse`.  All functions are pure;
+the internal memo caches are append-only and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
 from typing import NamedTuple, Union
 
@@ -58,14 +59,10 @@ class HalfInt(NamedTuple("HalfInt", [("twice", int)])):
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
-        """Parse strings like '2', '-1/2' or '3/2'."""
-        s = text.strip()
-        if "/" in s:
-            num, den = s.split("/", 1)
-            if den.strip() != "2":
-                raise ValueError(f"cannot parse half-integer from {text!r}")
-            return cls(int(num))
-        return cls(2 * int(s))
+        """The HalfInt of a label as `str` writes it for j >= 0: '0', '2' or
+        '3/2'.  Anything else is a ValueError (see `_label`)."""
+        num, slash, _ = _label(text).partition("/")
+        return cls(int(num) if slash else 2 * int(num))
 
     def __float__(self) -> float:
         return self.twice / 2.0
@@ -102,6 +99,18 @@ class HalfInt(NamedTuple("HalfInt", [("twice", int)])):
 
 
 HalfIntLike = Union[HalfInt, int]
+
+# The one spelling of a non-negative half-integer label: ASCII digits with
+# no sign, space or leading zero, and a numerator over 2 only when it ends
+# in an odd digit (the lookbehind).
+_LABEL = re.compile(r"[1-9][0-9]*(?<=[13579])/2|[1-9][0-9]*|0")
+
+
+def _label(text) -> str:
+    """`text` if it is a label `HalfInt.parse` reads, else a ValueError."""
+    if not isinstance(text, str) or not _LABEL.fullmatch(text):
+        raise ValueError(f"expected a half-integer such as '3/2', got {text!r}")
+    return text
 
 
 def _check_magnitude(tj: int, name: str) -> None:

@@ -6,8 +6,8 @@ and spin-independent center frequencies.  A reference/ subdirectory holds
 the published level shifts, mixing coefficients and line lists used by the
 validation command and the regression tests.
 
-The data directory is resolved from an explicit path, then the
-H2PLUS_DATA_DIR environment variable, then the package's bundled data.
+The data directory is the explicit path a caller gives, or the package's
+bundled data when none is given; nothing else chooses it.
 `DataSet` is the one reader of a directory for the command line and the
 validation checks: it reads each file on first use and at most once.
 """
@@ -17,14 +17,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import DataError
-from .angular import HalfInt
+from .angular import HalfInt, _label
 from .hyperfine import (
     HyperfineCoefficients,
     HyperfineEigenstate,
@@ -39,7 +38,6 @@ from .twophoton import OrbitalReducedElements, PolarizationPair
 __all__ = [
     "DataError",
     "DataSet",
-    "DATA_DIR_ENV_VAR",
     "L_MAX",
     "default_data_dir",
     "resolve_data_dir",
@@ -52,8 +50,6 @@ __all__ = [
     "load_reference_levels_odd",
     "load_reference_lines",
 ]
-
-DATA_DIR_ENV_VAR = "H2PLUS_DATA_DIR"
 
 COEFFICIENTS_FILE = "hyperfine_coefficients.json"
 ORBITAL_FILE = "orbital_reduced_elements.json"
@@ -70,13 +66,8 @@ def default_data_dir() -> Path:
 
 
 def resolve_data_dir(explicit: str | os.PathLike | None = None) -> Path:
-    """Explicit path, then $H2PLUS_DATA_DIR, then the bundled directory."""
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get(DATA_DIR_ENV_VAR)
-    if env:
-        return Path(env)
-    return default_data_dir()
+    """The explicit path, or the bundled directory when none is given."""
+    return default_data_dir() if explicit is None else Path(explicit)
 
 
 def _read_json(path: Path) -> dict:
@@ -141,14 +132,21 @@ def _transition(lower: RoVibLevel, upper: RoVibLevel) -> str:
     return f"({lower.v},{lower.L})->({upper.v},{upper.L})"
 
 
+def _read_l(record: dict, path: Path, key: str = "L") -> int:
+    """record[key] as a rotational quantum number, an integer in 0..L_MAX;
+    a ValueError outside it, for the caller's `_checked`.  Every L of every
+    data file is read here."""
+    L = _require(record, key, path, _integer)
+    if L < 0:
+        raise ValueError(f"{key}={L} is negative")
+    if L > L_MAX:
+        raise ValueError(f"{key}={L} exceeds L_MAX={L_MAX}")
+    return L
+
+
 def _read_level(record: dict, path: Path, v_key: str = "v", l_key: str = "L") -> RoVibLevel:
     with _checked(path, record):
-        level = RoVibLevel(
-            _require(record, v_key, path, _integer), _require(record, l_key, path, _integer)
-        )
-        if level.L > L_MAX:
-            raise ValueError(f"{l_key}={level.L} exceeds L_MAX={L_MAX}")
-        return level
+        return RoVibLevel(_require(record, v_key, path, _integer), _read_l(record, path, l_key))
 
 
 class CoefficientRecord(NamedTuple):
@@ -216,7 +214,8 @@ def load_center_frequencies(data_dir: str | os.PathLike | None = None) -> dict[i
     payload = _read_json(path)
     table = {}
     for record in _require(payload, "centers", path, list):
-        L = _require(record, "L", path, _integer)
+        with _checked(path, record):
+            L = _read_l(record, path)
         center = {
             "nu_2ph_MHz": _require(record, "nu_2ph_MHz", path, _finite),
             "lambda_um": _require(record, "lambda_um", path, _finite),
@@ -269,20 +268,6 @@ def load_reference_levels_even(data_dir=None) -> list[dict]:
     return levels
 
 
-_HALF_INT_TEXT = re.compile(r"\d+(/2)?")
-
-
-def _half_int_text(value) -> str:
-    """A non-negative half-integer label such as '2' or '3/2'."""
-    if not isinstance(value, str) or not _HALF_INT_TEXT.fullmatch(value):
-        raise ValueError(f"expected a half-integer such as '3/2', got {value!r}")
-    return value
-
-
-def _half_int(value) -> HalfInt:
-    return HalfInt.parse(_half_int_text(value))
-
-
 def _intensities(value) -> dict[str, float]:
     """A {polarization token: finite intensity} object."""
     if not isinstance(value, dict):
@@ -299,8 +284,8 @@ def load_reference_levels_odd(data_dir=None) -> list[HyperfineSolution]:
         states = tuple(
             HyperfineEigenstate(
                 level=level,
-                f_tilde=_require(row, "F_tilde", path, _half_int),
-                j=_require(row, "J", path, _half_int),
+                f_tilde=_require(row, "F_tilde", path, HalfInt.parse),
+                j=_require(row, "J", path, HalfInt.parse),
                 shift_mhz=_require(row, "shift_MHz", path, _finite),
                 c1=_require(row, "C1", path, _finite),
                 c3=_require(row, "C3", path, _finite),
@@ -325,7 +310,7 @@ def load_reference_lines(data_dir=None) -> list[dict]:
         upper = _read_level(entry, path, "v_upper", "L_upper")
         lines = []
         for row in _require(entry, "lines", path, list):
-            line = {key: _require(row, key, path, _half_int_text) for key in _LINE_LABELS}
+            line = {key: _require(row, key, path, _label) for key in _LINE_LABELS}
             line["delta_f_MHz"] = _require(row, "delta_f_MHz", path, _finite)
             line["intensity"] = _require(row, "intensity", path, _intensities)
             lines.append(line)

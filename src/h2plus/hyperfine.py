@@ -252,8 +252,6 @@ class FitResult(NamedTuple):
     coefficients: HyperfineCoefficients
     residual_norm_mhz: float
     max_shift_residual_mhz: float
-    max_mixing_residual: float
-    shift_residuals_mhz: tuple[float, ...] = ()
 
 
 # Weight that puts a mixing-amplitude residual on the same footing as a
@@ -463,8 +461,6 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
         coefficients=HyperfineCoefficients.from_array(params),
         residual_norm_mhz=math.sqrt(math.fsum(r * r for r in res)),
         max_shift_residual_mhz=max_shift,
-        max_mixing_residual=mixing_res,
-        shift_residuals_mhz=shift_res,
     )
 
 
@@ -489,6 +485,4 @@ def fit_even_coefficient(L: int, shift_upper_j: float, shift_lower_j: float | No
         coefficients=HyperfineCoefficients(c_e=c_e),
         residual_norm_mhz=residual,
         max_shift_residual_mhz=residual,
-        max_mixing_residual=0.0,
-        shift_residuals_mhz=(residual,),
     )

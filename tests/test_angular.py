@@ -6,11 +6,12 @@ against that oracle runs at the end of the module.
 """
 
 import math
+import re
 import typing
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from h2plus.angular import (
@@ -52,10 +53,26 @@ class TestHalfInt:
 
     def test_parse_and_str(self):
         assert HalfInt.parse("3/2") == THREE_HALF
-        assert HalfInt.parse("-1/2") == HalfInt(-1)
         assert HalfInt.parse("2") == HalfInt(4)
         assert str(HalfInt(5)) == "5/2"
         assert str(HalfInt(4)) == "2"
+        with pytest.raises(ValueError, match="expected a half-integer"):
+            HalfInt.parse("-1/2")  # a label is never negative
+
+    @given(st.integers(0, 20_001))
+    @example(0)
+    @example(1)
+    @example(20_001)
+    def test_parse_reads_what_str_writes(self, twice):
+        assert HalfInt.parse(str(HalfInt(twice))) == HalfInt(twice)
+
+    @pytest.mark.parametrize("text", ["10/2", "0/2", "01", "-1/2", "+3/2", " 3/2", "1_0",
+                                      "3/4", "\u0665/2", "\uff15/2", "", 3])
+    def test_parse_refuses_any_other_spelling(self, text):
+        # "\u0665" and "\uff15" are the Arabic-Indic and fullwidth digit five
+        message = f"expected a half-integer such as '3/2', got {text!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HalfInt.parse(text)
 
     def test_arithmetic_and_order(self):
         assert HALF + 1 == THREE_HALF

@@ -309,11 +309,16 @@ class TestMalformedData:
              ["spectrum", "--lower", "0,1", "--upper", "1,1"]),
             ("center_frequencies.json", lambda p: p["centers"].append(dict(p["centers"][1])),
              ["spectrum", "--lower", "0,1", "--upper", "1,1"]),
+            ("center_frequencies.json", lambda p: p["centers"].append(dict(p["centers"][0], L=-3)),
+             ["spectrum", "--lower", "0,1", "--upper", "1,1", "--absolute"]),
+            ("center_frequencies.json",
+             lambda p: p["centers"].append(dict(p["centers"][0], L=L_MAX + 1)),
+             ["spectrum", "--lower", "0,1", "--upper", "1,1", "--absolute"]),
         ],
         ids=["coefficient-nan", "coefficients-top-level-list", "orbital-string",
              "orbital-nan", "orbital-selection-rule", "center-list-record", "center-list-value",
              "reference-missing-c1", "orbital-same-level", "coefficients-repeated",
-             "orbital-repeated", "center-repeated"],
+             "orbital-repeated", "center-repeated", "center-negative-L", "center-beyond-l-max"],
     )
     def test_malformed_value_is_data_error(self, capsys, tmp_path, name, corrupt, argv):
         self._assert_data_error(capsys, tmp_path, name, corrupt, argv)
@@ -341,12 +346,21 @@ class TestMalformedData:
             ("levels_odd.json", _odd_label("J", "+5/2")),
             ("levels_odd.json", _odd_label("J", "-1/2")),
             ("levels_odd.json", _odd_label("F_tilde", 3)),
+            ("levels_odd.json", _odd_label("J", "10/2")),
+            ("levels_odd.json", _odd_label("J", "05/2")),
+            ("levels_odd.json", _odd_label("J", "\u0665/2")),
+            ("levels_odd.json", _odd_label("J", "\uff15/2")),
+            ("levels_odd.json", _odd_label("J", " 5/2")),
+            ("two_photon_lines.json",
+             lambda p: p["transitions"][1]["lines"][0].update(F_lower="01/2")),
         ],
         ids=["even-shift-string", "even-shift-nan", "even-negative-L", "even-list-record",
              "transition-number", "transition-level-string", "transition-missing-lines",
              "line-shift-string", "line-label-number", "line-label-malformed",
              "line-intensity-list", "line-intensity-string", "line-intensity-nan",
-             "odd-label-plus-sign", "odd-label-negative", "odd-label-number"],
+             "odd-label-plus-sign", "odd-label-negative", "odd-label-number",
+             "odd-label-even-numerator", "odd-label-leading-zero", "odd-label-arabic-indic-digit",
+             "odd-label-fullwidth-digit", "odd-label-leading-space", "line-label-leading-zero"],
     )
     def test_malformed_reference_value_is_data_error(self, capsys, tmp_path, name, corrupt):
         self._assert_data_error(capsys, tmp_path, f"reference/{name}", corrupt, ["validate"])
@@ -575,13 +589,6 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
-
-    def test_env_var_data_dir(self, capsys, monkeypatch, tmp_path):
-        from h2plus.datafiles import DATA_DIR_ENV_VAR
-
-        monkeypatch.setenv(DATA_DIR_ENV_VAR, str(tmp_path))
-        code, _, err = run(capsys, "levels", "--v", "0", "--L", "1")
-        assert code == EXIT_DATA
 
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"

@@ -17,7 +17,6 @@ of output, rewrite it with
 
 import io
 import json
-import os
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from h2plus.cli import main
-from h2plus.datafiles import DATA_DIR_ENV_VAR, default_data_dir
+from h2plus.datafiles import default_data_dir
 
 TRANSCRIPT_PATH = Path(__file__).parent / "golden" / "cli_transcript.json"
 TMP = "<TMP>"
@@ -216,8 +215,7 @@ def test_transcript_holds_every_case():
 
 
 @pytest.mark.parametrize("name,argv,edit", CASES, ids=[case[0] for case in CASES])
-def test_cli_matches_transcript(tmp_path, monkeypatch, name, argv, edit):
-    monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
+def test_cli_matches_transcript(tmp_path, name, argv, edit):
     expected = json.loads(TRANSCRIPT_PATH.read_text())[name]
     assert run_case(argv, edit, tmp_path) == expected
 
@@ -225,7 +223,6 @@ def test_cli_matches_transcript(tmp_path, monkeypatch, name, argv, edit):
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop(DATA_DIR_ENV_VAR, None)
     transcript = {}
     for name, argv, edit in CASES:
         with tempfile.TemporaryDirectory() as tmp:

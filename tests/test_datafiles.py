@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from h2plus.datafiles import (
-    DATA_DIR_ENV_VAR,
     DataError,
     default_data_dir,
     load_center_frequencies,
@@ -28,16 +27,10 @@ from h2plus.hyperfine import RoVibLevel
 
 
 class TestResolution:
-    def test_default_is_bundled(self, monkeypatch):
-        monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
+    def test_default_is_bundled(self):
         assert resolve_data_dir() == default_data_dir()
 
-    def test_env_var_wins_over_default(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(DATA_DIR_ENV_VAR, str(tmp_path))
-        assert resolve_data_dir() == tmp_path
-
-    def test_explicit_wins_over_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(DATA_DIR_ENV_VAR, "/nonexistent")
+    def test_explicit_wins_over_env(self, tmp_path):
         assert resolve_data_dir(tmp_path) == tmp_path
 
 
@@ -206,7 +199,6 @@ class TestValidateReads:
         assert reads == Counter(expected)
 
     def test_default_data_read_once(self, monkeypatch):
-        monkeypatch.delenv(DATA_DIR_ENV_VAR, raising=False)
         reads = self._reads(monkeypatch, None, None)
         bundled = default_data_dir()
         expected = [
