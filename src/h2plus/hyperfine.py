@@ -250,7 +250,6 @@ class FitResult(NamedTuple):
     """Outcome of a coefficient fit, with its residual diagnostics."""
 
     coefficients: HyperfineCoefficients
-    residual_norm_mhz: float
     max_shift_residual_mhz: float
 
 
@@ -459,7 +458,6 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
         )
     return FitResult(
         coefficients=HyperfineCoefficients.from_array(params),
-        residual_norm_mhz=math.sqrt(math.fsum(r * r for r in res)),
         max_shift_residual_mhz=max_shift,
     )
 
@@ -483,6 +481,5 @@ def fit_even_coefficient(L: int, shift_upper_j: float, shift_lower_j: float | No
             residual = abs(shift_lower_j - (-(L + 1) / 2 * c_e))
     return FitResult(
         coefficients=HyperfineCoefficients(c_e=c_e),
-        residual_norm_mhz=residual,
         max_shift_residual_mhz=residual,
     )

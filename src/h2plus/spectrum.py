@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .angular import HalfInt
@@ -51,6 +52,11 @@ __all__ = [
 # intensities 4 significant figures.
 SHIFT_DECIMALS = 4
 INTENSITY_SIGNIFICANT_DIGITS = 4
+# The same conversions as `%` specifiers, for the writers' row templates,
+# and the 'g' conversion that writes a rounded intensity for JSON.
+_SHIFT_F = f"%.{SHIFT_DECIMALS}f"
+_INTENSITY_E = f"%.{INTENSITY_SIGNIFICANT_DIGITS - 1}e"
+_INTENSITY_G = f"%.{INTENSITY_SIGNIFICANT_DIGITS}g"
 
 
 def format_shift(value: float) -> str:
@@ -271,24 +277,24 @@ def _json_object(members: Iterable[tuple[str, str]], indent: str) -> str:
 
 def _json_intensity(value: float) -> str:
     """An intensity rounded to INTENSITY_SIGNIFICANT_DIGITS, as `json.dumps`
-    writes it."""
-    return _json_float(float(f"{value:.{INTENSITY_SIGNIFICANT_DIGITS - 1}e}"))
+    writes it.
+
+    For 1e-300 < |value| < 9999.5 the 'g' conversion writes the digits and
+    the layout that repr gives the rounded float, save a missing ".0": both
+    switch to an exponent below 1e-4, and normal floats are dense enough
+    there that repr needs every one of the digits.  Larger values (where
+    'g' switches to an exponent and repr does not), tiny and subnormal
+    values and non-finite ones take the round trip through the rounded
+    float.
+    """
+    if 1e-300 < abs(value) < 9999.5:
+        text = _INTENSITY_G % value
+        return text if "." in text or "e" in text else text + ".0"
+    return _json_float(float(_INTENSITY_E % value))
 
 
-class _Texts(dict):
-    """The text of each distinct key, formatted on first use."""
-
-    def __init__(self, format_key):
-        super().__init__()
-        self.format_key = format_key
-
-    def __missing__(self, key):
-        text = self[key] = self.format_key(key)
-        return text
-
-
-class _FloatTexts(_Texts):
-    """The text of each distinct float value.
+class _FloatTexts(dict):
+    """The text of each distinct float value, formatted on first use.
 
     Values key the memo, so floats that compare equal share one text.  Of
     those, only 0.0 and -0.0 can be written differently, so zeros are never
@@ -296,20 +302,25 @@ class _FloatTexts(_Texts):
     so it shares its text only with itself.
     """
 
-    def __init__(self, format_key):
-        super().__init__(format_key)
-        self.zeros = (format_key(0.0), format_key(-0.0))
+    def __init__(self, format_value):
+        super().__init__()
+        self.format_value = format_value
+        self.zeros = (format_value(0.0), format_value(-0.0))
 
     def __missing__(self, value: float) -> str:
         if not value:
             return self.zeros[math.copysign(1.0, value) < 0]
-        text = self[value] = self.format_key(value)
+        text = self[value] = self.format_value(value)
         return text
 
 
-def _label_texts(format_label) -> _Texts:
-    """Texts of half-integer labels, each formatted once per writer call."""
-    return _Texts(lambda label: format_label(str(label)))
+def _intensity_reader(pols: Sequence[PolarizationPair]):
+    """A function that reads a line's intensities for `pols` as a tuple, in
+    the order of `pols`; `itemgetter` of one key returns a bare value."""
+    if len(pols) == 1:
+        get = itemgetter(pols[0])
+        return lambda intensity: (get(intensity),)
+    return itemgetter(*pols) if pols else lambda intensity: ()
 
 
 def _json_level(level: RoVibLevel) -> str:
@@ -322,6 +333,12 @@ def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
     Columns: L, v, F_lower, J_lower, F_upper, J_upper, delta_f_MHz and one
     intensity column per requested polarization pair; an absolute frequency
     column is appended on request.  No field ever needs quoting.
+
+    Every row has one layout, so the body is one `%` row template (the
+    `L,v` prefix and the conversions of `format_shift` and
+    `format_intensity` baked in) repeated once per line and filled in one
+    step.  Intensities enter as `value or 0.0`, which writes -0.0 as
+    `format_intensity` does, "0.000e+00".
     """
     header = ["L", "v", "F_lower", "J_lower", "F_upper", "J_upper", "delta_f_MHz"]
     header += [f"intensity_{pol.token}" for pol in result.pols]
@@ -330,25 +347,21 @@ def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
         if center is None:
             raise ValueError("no center frequency available for absolute output")
         header.append("absolute_f_MHz")
-    rows = [",".join(header)]
-    texts = _FloatTexts(format_intensity)
-    labels = _label_texts(str)
-    prefix = f"{result.lower.L},{result.lower.v}"
-    for line in result.lines:
-        row = [
-            prefix,
-            labels[line.lower_f],
-            labels[line.lower_j],
-            labels[line.upper_f],
-            labels[line.upper_j],
-            format_shift(line.delta_f_mhz),
-        ]
-        row += [texts[line.intensity[pol]] for pol in result.pols]
+    row = (
+        f"{result.lower.L},{result.lower.v},%s,%s,%s,%s,{_SHIFT_F}"
+        + f",{_INTENSITY_E}" * len(result.pols)
+        + (f",{_SHIFT_F}" if absolute else "")
+        + "\n"
+    )
+    labels = {label: str(label) for label in {lab for line in result.lines for lab in line[:4]}}
+    intensities = _intensity_reader(result.pols)
+    fields = []
+    for lower_f, lower_j, upper_f, upper_j, delta_f, intensity in result.lines:
+        fields += (labels[lower_f], labels[lower_j], labels[upper_f], labels[upper_j], delta_f)
+        fields += [value or 0.0 for value in intensities(intensity)]
         if absolute:
-            row.append(format_shift(center + line.delta_f_mhz))
-        rows.append(",".join(row))
-    rows.append("")
-    return "\n".join(rows)
+            fields.append(center + delta_f)
+    return ",".join(header) + "\n" + row * len(result.lines) % tuple(fields)
 
 
 def spectrum_to_json(result: SpectrumResult, absolute: bool = False) -> str:
@@ -357,45 +370,52 @@ def spectrum_to_json(result: SpectrumResult, absolute: bool = False) -> str:
     them.  Shifts are rounded to SHIFT_DECIMALS, intensities to
     INTENSITY_SIGNIFICANT_DIGITS, one per distinct polarization token; the
     absolute frequency appears on request when a center frequency is known.
+
+    The line objects are one `%` row template (the keys, and the sorted
+    token keys of the intensity object, baked in) repeated once per line
+    and filled in one step; each distinct label and intensity is formatted
+    once per call.
     """
     center = result.center_frequency_mhz
     absolute = absolute and center is not None
-    # one "key": prefix per distinct token, in sorted-token order
     by_token = sorted({pol.token: pol for pol in result.pols}.items())
-    keys = [(f"\n        {_json_string(token)}: ", pol) for token, pol in by_token]
+    intensity_object = (
+        "{" + ",".join(f"\n        {_json_string(token)}: %s" for token, _ in by_token)
+        + "\n      }"
+        if by_token
+        else "{}"
+    )
+    row = (
+        "    {\n"
+        '      "F_lower": %s,\n'
+        '      "F_upper": %s,\n'
+        '      "J_lower": %s,\n'
+        '      "J_upper": %s,\n'
+        + ('      "absolute_f_MHz": %s,\n' if absolute else "")
+        + '      "dark": %s,\n'
+        '      "delta_f_MHz": %s,\n'
+        f'      "intensity": {intensity_object}\n'
+        "    }"
+    )
     texts = _FloatTexts(_json_intensity)
-    labels = _label_texts(_json_string)
-    lines = []
+    labels = {
+        label: _json_string(str(label))
+        for label in {lab for line in result.lines for lab in line[:4]}
+    }
+    intensities = _intensity_reader([pol for _, pol in by_token])
+    fields = []
     for line in result.lines:
-        intensity = (
-            "{"
-            + ",".join([key + texts[line.intensity[pol]] for key, pol in keys])
-            + "\n      }"
-            if keys
-            else "{}"
-        )
-        absolute_f = (
-            f'      "absolute_f_MHz": '
-            f"{_json_float(round(center + line.delta_f_mhz, SHIFT_DECIMALS))},\n"
-            if absolute
-            else ""
-        )
-        lines.append(
-            "    {\n"
-            f'      "F_lower": {labels[line.lower_f]},\n'
-            f'      "F_upper": {labels[line.upper_f]},\n'
-            f'      "J_lower": {labels[line.lower_j]},\n'
-            f'      "J_upper": {labels[line.upper_j]},\n'
-            f"{absolute_f}"
-            f'      "dark": {"true" if line.dark else "false"},\n'
-            f'      "delta_f_MHz": {_json_float(round(line.delta_f_mhz, SHIFT_DECIMALS))},\n'
-            f'      "intensity": {intensity}\n'
-            "    }"
-        )
+        lower_f, lower_j, upper_f, upper_j, delta_f, intensity = line
+        fields += (labels[lower_f], labels[upper_f], labels[lower_j], labels[upper_j])
+        if absolute:
+            fields.append(_json_float(round(center + delta_f, SHIFT_DECIMALS)))
+        fields += ("true" if line.dark else "false", _json_float(round(delta_f, SHIFT_DECIMALS)))
+        fields += map(texts.__getitem__, intensities(intensity))
+    lines = ",\n".join([row] * len(result.lines)) % tuple(fields)
     tokens = [f"    {_json_string(pol.token)}" for pol in result.pols]
     members = (
         ("center_frequency_MHz", "null" if center is None else _json_float(center)),
-        ("lines", "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"),
+        ("lines", "[\n" + lines + "\n  ]" if lines else "[]"),
         ("lower", _json_level(result.lower)),
         ("polarizations", "[\n" + ",\n".join(tokens) + "\n  ]" if tokens else "[]"),
         ("provenance", _json_object(

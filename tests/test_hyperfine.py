@@ -344,7 +344,7 @@ class TestFitCoefficients:
         # eigenvectors have no derivative; the exact seed is returned
         fit = fit_coefficients(L, diagonalize_odd(L, HyperfineCoefficients()))
         assert coefficient_array(fit.coefficients).tolist() == [0.0] * 5
-        assert fit.residual_norm_mhz == 0.0
+        assert fit.max_shift_residual_mhz == 0.0
 
     def test_unmatched_mixing_is_fit_error(self):
         # the mixing amplitudes of real constants with every shift zeroed:

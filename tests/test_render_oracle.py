@@ -3,9 +3,10 @@ byte: `json.dumps(..., indent=2, sort_keys=True)` over a dictionary that
 mirrors the result, and `csv.writer` over the same fields.
 
 Covers the bundled transitions and the seeded synthetic set, empty,
-partial, duplicated and unsorted token lists, absolute output with and
+one-token, partial, duplicated and unsorted token lists, absolute output with and
 without a center frequency, provenance with non-ASCII characters and
-quotes, and non-finite values on a hand-built line.
+quotes, and non-finite values on a hand-built line; and the `%` and 'g'
+conversions the writers use, against the formatters, over all floats.
 """
 
 import csv
@@ -15,14 +16,20 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from h2plus.angular import HalfInt
 from h2plus.hyperfine import RoVibLevel
 from h2plus.spectrum import (
+    _INTENSITY_E,
+    _SHIFT_F,
     INTENSITY_SIGNIFICANT_DIGITS,
     SHIFT_DECIMALS,
     SpectrumResult,
     TransitionLine,
+    _json_float,
+    _json_intensity,
     format_intensity,
     format_shift,
     spectrum_to_csv,
@@ -36,6 +43,7 @@ TOKEN_SETS = {
     "all": ALL_TOKENS,
     "first-3": ALL_TOKENS[:3],
     "none": (),
+    "one": ("pipi",),
     "subset": ("spsp", "pism", "smsm", "pipi"),
     "duplicated-unsorted": ("pipi", "smsp", "pipi", "smsm", "smsp"),
     "reversed": ALL_TOKENS[::-1],
@@ -204,3 +212,30 @@ def test_nan_in_two_objects():
     )
     assert not result.lines[0].dark
     assert_writers_match_oracle(result)
+
+
+LAYOUT_EDGES = (
+    9999.5, 9999.4999, 1e4, 9.9995e-5, 9.99949e-5, 1e-300, 1.0000001e-300,
+    2.2250738585072014e-308, 5e-324, 9.9995e15, 1e16, 1.7976931348623157e308, 2.0, 0.0,
+)
+
+
+def _with_examples(values):
+    def decorate(test):
+        for value in values:
+            test = example(value)(example(-value)(test))
+        return test
+    return decorate
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats() | st.floats(min_value=-2e4, max_value=2e4))
+@_with_examples(LAYOUT_EDGES)
+def test_conversions_match_the_formatters(value):
+    # the JSON intensity text is the repr of the float rounded as
+    # format_intensity rounds it; the reference keeps the sign of -0.0,
+    # which format_intensity writes as "0.000e+00" and JSON as "-0.0"
+    rounded = float(f"{value:.{INTENSITY_SIGNIFICANT_DIGITS - 1}e}")
+    assert _json_intensity(value) == _json_float(rounded)
+    assert _INTENSITY_E % (value or 0.0) == format_intensity(value)
+    assert _SHIFT_F % value == format_shift(value)
