@@ -3,10 +3,11 @@ byte: `json.dumps(..., indent=2, sort_keys=True)` over a dictionary that
 mirrors the result, and `csv.writer` over the same fields.
 
 Covers the bundled transitions and the seeded synthetic set, empty,
-one-token, partial, duplicated and unsorted token lists, absolute output with and
-without a center frequency, provenance with non-ASCII characters and
-quotes, and non-finite values on a hand-built line; and the `%` and 'g'
-conversions the writers use, against the formatters, over all floats.
+one-token, partial, duplicated and unsorted token lists, absolute output
+with and without a center frequency, provenance with non-ASCII
+characters and quotes, and non-finite values on a hand-built line; and
+the `%` and 'g' conversions the writers use, against the formatters,
+over all floats.
 """
 
 import csv
