@@ -64,30 +64,8 @@ class HalfInt(NamedTuple("HalfInt", [("twice", int)])):
         num, slash, _ = _label(text).partition("/")
         return cls(int(num) if slash else 2 * int(num))
 
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
-    def __int__(self) -> int:
-        if self.twice % 2:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
-
-    def __add__(self, other: "HalfIntLike") -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.of(other).twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "HalfIntLike") -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __rsub__(self, other: "HalfIntLike") -> "HalfInt":
-        return HalfInt(HalfInt.of(other).twice - self.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
+    # No arithmetic: a tuple's + and * would concatenate or repeat it.
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

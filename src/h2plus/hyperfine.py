@@ -91,7 +91,7 @@ class HyperfineCoefficients(NamedTuple("HyperfineCoefficients", [
 class HyperfineEigenstate(NamedTuple):
     """One hyperfine sublevel with its energy shift and mixing amplitudes.
 
-    coeffs = (C1, C3) are the amplitudes on the (F=1/2, F=3/2) pure basis
+    c1 and c3 are the amplitudes on the (F=1/2, F=3/2) pure basis
     states of the same J.  F_tilde labels the dominant F.
     """
 
@@ -101,14 +101,6 @@ class HyperfineEigenstate(NamedTuple):
     shift_mhz: float
     c1: float
     c3: float
-
-    @property
-    def coeffs(self) -> tuple[float, float]:
-        return (self.c1, self.c3)
-
-    @property
-    def is_pure(self) -> bool:
-        return min(abs(self.c1), abs(self.c3)) < PURE_STATE_THRESHOLD
 
     def label(self) -> str:
         return f"(F~={self.f_tilde}, J={self.j})"

@@ -82,11 +82,6 @@ class TransitionLine(NamedTuple):
     delta_f_mhz: float
     intensity: dict[PolarizationPair, float]
 
-    @property
-    def dark(self) -> bool:
-        """True when every requested polarization has zero intensity."""
-        return not any(self.intensity.values())
-
     def label(self) -> str:
         return (
             f"({self.lower_f},{self.lower_j}) -> ({self.upper_f},{self.upper_j})"
@@ -102,10 +97,6 @@ class SpectrumResult(NamedTuple):
     pols: tuple[PolarizationPair, ...]
     center_frequency_mhz: float | None = None
     provenance: dict[str, str] = {}
-
-    @property
-    def n_bright(self) -> int:
-        return sum(1 for line in self.lines if not line.dark)
 
 
 def line_position_shift(lower: HyperfineEigenstate, upper: HyperfineEigenstate) -> float:
@@ -368,8 +359,9 @@ def spectrum_to_json(result: SpectrumResult, absolute: bool = False) -> str:
     """Render the spectrum as JSON: keys sorted, two-space indent, strings
     and floats written as `json.dumps(..., indent=2, sort_keys=True)` writes
     them.  Shifts are rounded to SHIFT_DECIMALS, intensities to
-    INTENSITY_SIGNIFICANT_DIGITS, one per distinct polarization token; the
-    absolute frequency appears on request when a center frequency is known.
+    INTENSITY_SIGNIFICANT_DIGITS, one per distinct polarization token; a
+    line is "dark" when none of these intensities is nonzero.  The absolute
+    frequency appears on request when a center frequency is known.
 
     The line objects are one `%` row template (the keys, and the sorted
     token keys of the intensity object, baked in) repeated once per line
@@ -404,13 +396,13 @@ def spectrum_to_json(result: SpectrumResult, absolute: bool = False) -> str:
     }
     intensities = _intensity_reader([pol for _, pol in by_token])
     fields = []
-    for line in result.lines:
-        lower_f, lower_j, upper_f, upper_j, delta_f, intensity = line
+    for lower_f, lower_j, upper_f, upper_j, delta_f, intensity in result.lines:
+        values = intensities(intensity)
         fields += (labels[lower_f], labels[upper_f], labels[lower_j], labels[upper_j])
         if absolute:
             fields.append(_json_float(round(center + delta_f, SHIFT_DECIMALS)))
-        fields += ("true" if line.dark else "false", _json_float(round(delta_f, SHIFT_DECIMALS)))
-        fields += map(texts.__getitem__, intensities(intensity))
+        fields += ("false" if any(values) else "true", _json_float(round(delta_f, SHIFT_DECIMALS)))
+        fields += map(texts.__getitem__, values)
     lines = ",\n".join([row] * len(result.lines)) % tuple(fields)
     tokens = [f"    {_json_string(pol.token)}" for pol in result.pols]
     members = (

@@ -29,9 +29,6 @@ __all__ = [
     "averaged_from_reduced",
     "hyperfine_reduced_q",
     "averaged_sq_matrix_element",
-    "PI_PI",
-    "SIGMA_PLUS_SIGMA_PLUS",
-    "SIGMA_PLUS_SIGMA_MINUS",
 ]
 
 _COMPONENT_NAMES = {-1: "sm", 0: "pi", 1: "sp"}
@@ -85,9 +82,6 @@ class PolarizationPair:
         except KeyError:
             raise ValueError(f"unknown polarization token {token!r}") from None
 
-    def swapped(self) -> "PolarizationPair":
-        return _PAIRS[self.q2, self.q1]
-
     def __repr__(self) -> str:
         return f"PolarizationPair(q1={self.q1}, q2={self.q2})"
 
@@ -106,10 +100,6 @@ def _make_pair(q1: int, q2: int) -> PolarizationPair:
 _PAIRS = {(q1, q2): _make_pair(q1, q2) for q1 in (-1, 0, 1) for q2 in (-1, 0, 1)}
 _PAIRS_BY_TOKEN = {pair.token: pair for pair in _PAIRS.values()}
 
-PI_PI = PolarizationPair(0, 0)
-SIGMA_PLUS_SIGMA_PLUS = PolarizationPair(1, 1)
-SIGMA_PLUS_SIGMA_MINUS = PolarizationPair(1, -1)
-
 
 class TensorCoeffs(NamedTuple):
     """Rank-2 and rank-0 weights of the symmetrized two-photon operator for
@@ -126,9 +116,6 @@ class TensorCoeffs(NamedTuple):
         if not -2 <= q <= 2:
             return 0.0
         return self.a2[q + 2]
-
-    def norm_sq(self) -> float:
-        return sum(a * a for a in self.a2) + self.a00 * self.a00
 
 
 class OrbitalReducedElements(NamedTuple("OrbitalReducedElements", [

@@ -17,9 +17,6 @@ from h2plus.datafiles import (
     load_center_frequencies,
     load_coefficients,
     load_orbital_elements,
-    load_reference_levels_even,
-    load_reference_levels_odd,
-    load_reference_lines,
     resolve_data_dir,
     solve_level,
 )

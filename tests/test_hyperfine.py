@@ -18,8 +18,8 @@ from h2plus.hyperfine import (
     F_THREE_HALF,
     FitError,
     HyperfineCoefficients,
-    HyperfineEigenstate,
     HyperfineSolution,
+    PURE_STATE_THRESHOLD,
     RoVibLevel,
     diagonalize_even,
     diagonalize_odd,
@@ -93,7 +93,7 @@ def tensor_algebra_block(L, J, fs, c):
                 )
         return m
 
-    i_dot_s = np.diag([0.5 * (float(f) * (float(f) + 1) - 11 / 4) for f in fs])
+    i_dot_s = np.diag([0.5 * (f.twice / 2 * (f.twice / 2 + 1) - 11 / 4) for f in fs])
     l_dot_s = vector_block(SpinOperator.ELECTRON_SPIN)
     l_dot_i = vector_block(SpinOperator.NUCLEAR_SPIN)
     l_sq = L * (L + 1)
@@ -175,7 +175,7 @@ class TestDiagonalizeEven:
         state = solution.states[0]
         assert state.shift_mhz == 0.0
         assert (state.f_tilde, state.j) == (F_HALF, F_HALF)
-        assert state.coeffs == (1.0, 0.0)
+        assert (state.c1, state.c3) == (1.0, 0.0)
 
     def test_zero_coupling(self):
         solution = diagonalize_even(2, 0.0)
@@ -184,7 +184,7 @@ class TestDiagonalizeEven:
     def test_states_are_pure_and_ordered(self):
         solution = diagonalize_even(4, 10.0)
         assert [s.j.twice for s in solution.states] == [9, 7]
-        assert all(s.is_pure for s in solution.states)
+        assert all(min(abs(s.c1), abs(s.c3)) < PURE_STATE_THRESHOLD for s in solution.states)
 
     def test_odd_l_rejected(self):
         with pytest.raises(ValueError):
@@ -196,11 +196,12 @@ class TestDiagonalizeOdd:
         # b_F alone: F~=3/2 states at +b_F/2, F~=1/2 at -b_F, all pure
         solution = diagonalize_odd(1, HyperfineCoefficients(b_f=800.0))
         for state in solution.states:
-            assert state.is_pure
+            assert min(abs(state.c1), abs(state.c3)) < PURE_STATE_THRESHOLD
             expected = 400.0 if state.f_tilde == F_THREE_HALF else -800.0
             assert state.shift_mhz == pytest.approx(expected, abs=1e-12)
-        assert solution.state(F_THREE_HALF, HalfInt.parse("3/2")).coeffs == (0.0, 1.0)
-        assert solution.state(F_HALF, HalfInt.parse("3/2")).coeffs == (1.0, 0.0)
+        for f, amplitudes in ((F_THREE_HALF, (0.0, 1.0)), (F_HALF, (1.0, 0.0))):
+            state = solution.state(f, HalfInt.parse("3/2"))
+            assert (state.c1, state.c3) == amplitudes
 
     def test_ordering_matches_descending_j_then_f(self):
         solution = diagonalize_odd(3, SAMPLE)
@@ -276,7 +277,7 @@ class TestDiagonalizeOdd:
         assert e["G"] == 0.0
         solution = diagonalize_odd(1, c)
         for state in solution.states:
-            assert state.coeffs in ((0.0, 1.0), (1.0, 0.0))
+            assert (state.c1, state.c3) in ((0.0, 1.0), (1.0, 0.0))
 
 
 class TestFitCoefficients:

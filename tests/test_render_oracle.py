@@ -75,7 +75,7 @@ def oracle_dict(result, absolute=False):
                 pol.token: float(f"{line.intensity[pol]:.{INTENSITY_SIGNIFICANT_DIGITS-1}e}")
                 for pol in result.pols
             },
-            "dark": line.dark,
+            "dark": not any(line.intensity[pol] for pol in result.pols),
         }
         if absolute and result.center_frequency_mhz is not None:
             row["absolute_f_MHz"] = round(
@@ -211,8 +211,15 @@ def test_nan_in_two_objects():
         ),
         (PIPI, SPSP),
     )
-    assert not result.lines[0].dark
+    assert any(result.lines[0].intensity.values())
     assert_writers_match_oracle(result)
+
+
+def test_dark_reads_only_the_written_polarizations():
+    # spsp is bright but not written, so the line is dark in what is written
+    result = _hand_built((_line(-1.0, {PIPI: 0.0, SPSP: 0.5}),), (PIPI,))
+    assert_writers_match_oracle(result)
+    assert '"dark": true' in spectrum_to_json(result)
 
 
 LAYOUT_EDGES = (

@@ -4,6 +4,7 @@ that also covers L' = L +/- 2."""
 
 import pytest
 
+from h2plus.angular import HalfInt
 from h2plus.spectrum import two_photon_spectrum
 from h2plus.twophoton import PolarizationPair, averaged_sq_matrix_element
 from spin_oracle import projections
@@ -20,7 +21,7 @@ def _sublevel_average(lower, upper, pol, orb):
     """(1/(2J+1)) sum over M, M' of |<gJM|T(q1,q2)|eJ'M'>|^2, with M = M' + q."""
     total = 0.0
     for m_upper in projections(upper.j):
-        m_lower = m_upper + pol.q_total
+        m_lower = HalfInt(m_upper.twice + 2 * pol.q_total)
         if abs(m_lower.twice) <= lower.j.twice:
             total += polarized_matrix_element(lower, m_lower, upper, m_upper, pol, orb) ** 2
     return total / (lower.j.twice + 1)
