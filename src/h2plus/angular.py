@@ -1,21 +1,18 @@
 """Exact angular-momentum algebra over half-integer quantum numbers.
 
-Wigner 6j symbols and Clebsch-Gordan coefficients (through the 3j symbol)
-are evaluated with the Racah sum formula on plain integers: each alternating
-series is summed exactly as one integer numerator over a common factorial
-denominator, and each value is the square root of the correctly rounded
-quotient of two exact integers, so no cancellation error accumulates.
-Couplings that violate a triangle or projection rule return exactly 0.0,
-which lets selection rules emerge from the algebra; only structurally
-malformed inputs (negative magnitudes, a j/m parity mismatch) raise
-ValueError.
+Wigner 6j symbols are evaluated with the Racah sum formula on plain
+integers: the alternating series is summed exactly in integers, and each
+value is the square root of the correctly rounded quotient of two exact
+integers, so no cancellation error accumulates.  Couplings that violate a
+triangle rule return exactly 0.0, which lets selection rules emerge from
+the algebra; only a negative magnitude raises ValueError.
 
 Phases follow the Condon-Shortley convention, with the 6j symbol defined
 through the usual Racah W-coefficient relation.
 
 Quantum numbers enter as a HalfInt or an int (see `HalfInt.of`), and
 labels as text only through `HalfInt.parse`.  All functions are pure;
-the internal memo caches are append-only and safe for concurrent use.
+the internal memo cache is append-only and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ __all__ = [
     "HalfInt",
     "HalfIntLike",
     "wigner6j",
-    "clebsch_gordan",
 ]
 
 
@@ -96,15 +92,6 @@ def _check_magnitude(tj: int, name: str) -> None:
         raise ValueError(f"magnitude {name} must be non-negative, got {tj}/2")
 
 
-def _check_pair(tj: int, tm: int) -> None:
-    if tj < 0:
-        raise ValueError(f"magnitude j must be non-negative, got {tj}/2")
-    if (tj + tm) % 2:
-        raise ValueError(
-            f"projection m={HalfInt(tm)} and j={HalfInt(tj)} differ by a non-integer"
-        )
-
-
 def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
     # integer perimeter and |a-b| <= c <= a+b, all in doubled units
     if (ta + tb + tc) % 2:
@@ -124,43 +111,6 @@ def _delta_sq(ta: int, tb: int, tc: int) -> tuple[int, int]:
     """Squared triangle coefficient as a (numerator, denominator) pair."""
     return (_factorials((ta + tb - tc) // 2, (ta - tb + tc) // 2, (-ta + tb + tc) // 2),
             math.factorial((ta + tb + tc) // 2 + 1))
-
-
-@lru_cache(maxsize=None)
-def _three_j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> float:
-    if tm1 + tm2 + tm3 != 0:
-        return 0.0
-    if not _triangle_ok(tj1, tj2, tj3):
-        return 0.0
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm3) > tj3:
-        return 0.0
-
-    # Racah sum; every factorial argument below is a non-negative integer
-    # once the screens above have passed.  The six arguments sum to
-    # j1 + j2 + j3 for every t, so each term's denominator divides that
-    # factorial exactly: the series is one integer over `common`.
-    k1 = (tj1 + tj2 - tj3) // 2
-    k2 = (tj1 - tm1) // 2
-    k3 = (tj2 + tm2) // 2
-    k4 = (tj3 - tj2 + tm1) // 2
-    k5 = (tj3 - tj1 - tm2) // 2
-    t_min = max(0, -k4, -k5)
-    t_max = min(k1, k2, k3)
-    common = math.factorial((tj1 + tj2 + tj3) // 2)
-    total = 0
-    for t in range(t_min, t_max + 1):
-        term = common // _factorials(t, k1 - t, k2 - t, k3 - t, k4 + t, k5 + t)
-        total += -term if t % 2 else term
-    if total == 0:
-        return 0.0
-
-    m_fac = _factorials((tj1 + tm1) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2,
-                        (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2)
-    delta_num, delta_den = _delta_sq(tj1, tj2, tj3)
-    sign = 1 if total > 0 else -1
-    if ((tj1 - tj2 - tm3) // 2) % 2:
-        sign = -sign
-    return sign * math.sqrt(delta_num * m_fac * total * total / (delta_den * common * common))
 
 
 @lru_cache(maxsize=None)
@@ -216,33 +166,3 @@ def wigner6j(
     for i, a in enumerate(tj, start=1):
         _check_magnitude(a, f"j{i}")
     return _six_j(*tj)
-
-
-def clebsch_gordan(
-    j1: HalfIntLike,
-    m1: HalfIntLike,
-    j2: HalfIntLike,
-    m2: HalfIntLike,
-    j: HalfIntLike,
-    m: HalfIntLike,
-) -> float:
-    """Clebsch-Gordan coefficient <j1 j2 m1 m2 | j m>.
-
-    Evaluated through the 3j conversion
-    (-1)^(j1-j2+m) * sqrt(2j+1) * 3j(j1, j2, j; m1, m2, -m);
-    zero whenever m != m1 + m2.
-    """
-    tj1, tm1 = HalfInt.of(j1).twice, HalfInt.of(m1).twice
-    tj2, tm2 = HalfInt.of(j2).twice, HalfInt.of(m2).twice
-    tj, tm = HalfInt.of(j).twice, HalfInt.of(m).twice
-    _check_pair(tj1, tm1)
-    _check_pair(tj2, tm2)
-    _check_pair(tj, tm)
-    if tm1 + tm2 != tm:
-        return 0.0
-    three = _three_j(tj1, tj2, tj, tm1, tm2, -tm)
-    if three == 0.0:
-        return 0.0
-    exponent = (tj1 - tj2 + tm) // 2
-    sign = -1 if exponent % 2 else 1
-    return sign * math.sqrt(tj + 1.0) * three

@@ -82,11 +82,6 @@ class HyperfineCoefficients(NamedTuple("HyperfineCoefficients", [
                 raise ValueError(f"coefficient {name} must be finite")
         return self
 
-    @classmethod
-    def from_array(cls, values) -> "HyperfineCoefficients":
-        b_f, c_e, c_i, d1, d2 = (float(x) for x in values)
-        return cls(b_f, c_e, c_i, d1, d2)
-
 
 class HyperfineEigenstate(NamedTuple):
     """One hyperfine sublevel with its energy shift and mixing amplitudes.
@@ -321,7 +316,7 @@ def _unit_entries(L: int) -> tuple[dict[str, float], ...]:
     """
     units = ([1.0 if i == j else 0.0 for i in range(5)] for j in range(5))
     return tuple(
-        hfs_matrix_entries(L, HyperfineCoefficients.from_array(unit)) for unit in units
+        hfs_matrix_entries(L, HyperfineCoefficients(*unit)) for unit in units
     )
 
 
@@ -416,7 +411,7 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
     target = _observation_vector(observed)
 
     def evaluate(params):
-        predicted = diagonalize_odd(L, HyperfineCoefficients.from_array(params),
+        predicted = diagonalize_odd(L, HyperfineCoefficients(*params),
                                     v=observed.level.v)
         return predicted, [p - t for p, t in zip(_observation_vector(predicted), target)]
 
@@ -449,7 +444,7 @@ def fit_coefficients(L: int, observed: HyperfineSolution) -> FitResult:
             f"mixing-amplitude residual {mixing_res:.2e} exceeds {_MIXING_RESIDUAL_LIMIT:.0e}"
         )
     return FitResult(
-        coefficients=HyperfineCoefficients.from_array(params),
+        coefficients=HyperfineCoefficients(*params),
         max_shift_residual_mhz=max_shift,
     )
 

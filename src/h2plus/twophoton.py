@@ -13,18 +13,15 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from functools import cache
 from typing import NamedTuple
 
-from .angular import _six_j, clebsch_gordan
+from .angular import _six_j
 from .hyperfine import HyperfineEigenstate, RoVibLevel
 
 __all__ = [
     "PolarizationPair",
-    "TensorCoeffs",
     "OrbitalReducedElements",
     "SelectionRuleError",
-    "tensor_coefficients",
     "polarization_weights",
     "averaged_from_reduced",
     "hyperfine_reduced_q",
@@ -70,10 +67,6 @@ class PolarizationPair:
     def __reduce__(self):
         return PolarizationPair, (self.q1, self.q2)
 
-    @property
-    def q_total(self) -> int:
-        return self.q1 + self.q2
-
     @classmethod
     def from_token(cls, token: str) -> "PolarizationPair":
         """Parse tokens like 'pipi', 'spsp', 'spsm', 'pisp'."""
@@ -101,23 +94,6 @@ _PAIRS = {(q1, q2): _make_pair(q1, q2) for q1 in (-1, 0, 1) for q2 in (-1, 0, 1)
 _PAIRS_BY_TOKEN = {pair.token: pair for pair in _PAIRS.values()}
 
 
-class TensorCoeffs(NamedTuple):
-    """Rank-2 and rank-0 weights of the symmetrized two-photon operator for
-    one polarization pair: a2[q] for q = -2..2 and the scalar weight a00.
-
-    Only the entry at q = q1+q2 can be nonzero, and a00 requires q1+q2 = 0.
-    """
-
-    a2: tuple[float, float, float, float, float]
-    a00: float
-    q_total: int
-
-    def a2_at(self, q: int) -> float:
-        if not -2 <= q <= 2:
-            return 0.0
-        return self.a2[q + 2]
-
-
 class OrbitalReducedElements(NamedTuple("OrbitalReducedElements", [
     ("lower", RoVibLevel), ("upper", RoVibLevel), ("q0", float), ("q2", float),
 ])):
@@ -140,25 +116,30 @@ class OrbitalReducedElements(NamedTuple("OrbitalReducedElements", [
         return super().__new__(cls, lower, upper, q0, q2)
 
 
-@cache
-def tensor_coefficients(pair: PolarizationPair) -> TensorCoeffs:
-    """Polarization weights a(k)_q = <1 1 q1 q2 | k q> for k = 0 and 2.
+# The weights (a00, a(2)_q) = (<1 q1 1 q2 | 0 0>, <1 q1 1 q2 | 2 q>), q = q1+q2,
+# of each pair (Edmonds 1957): 0 or +-1/sqrt(3), and 1, 1/sqrt(2),
+# 1/sqrt(6) or sqrt(2/3).  Each is the float that sqrt(2k+1) times the
+# correctly rounded 3j symbol gives, so 1/sqrt(6) is 0.408248290463863,
+# 1 ulp above math.sqrt(6.0) / 6.0.
+_WEIGHTS = {
+    _PAIRS_BY_TOKEN[token]: weights
+    for token, weights in {
+        "smsm": (0.0, 1.0),
+        "smpi": (0.0, 0.7071067811865476),
+        "smsp": (0.5773502691896257, 0.408248290463863),
+        "pism": (0.0, 0.7071067811865476),
+        "pipi": (-0.5773502691896257, 0.816496580927726),
+        "pisp": (0.0, 0.7071067811865476),
+        "spsm": (0.5773502691896257, 0.408248290463863),
+        "sppi": (0.0, 0.7071067811865476),
+        "spsp": (0.0, 1.0),
+    }.items()
+}
 
-    Computed once per pair and process; there are nine pairs and the
-    result is immutable."""
-    q = pair.q_total
-    a2 = [0.0] * 5
-    a2[q + 2] = clebsch_gordan(1, pair.q1, 1, pair.q2, 2, q)
-    a00 = clebsch_gordan(1, pair.q1, 1, pair.q2, 0, 0) if q == 0 else 0.0
-    return TensorCoeffs(a2=tuple(a2), a00=a00, q_total=q)
 
-
-@cache
 def polarization_weights(pair: PolarizationPair) -> tuple[float, float]:
-    """The two weights a pair can carry: (a00, a(2)_q) with q = q1+q2,
-    read from `tensor_coefficients` once per pair and process."""
-    coeffs = tensor_coefficients(pair)
-    return coeffs.a00, coeffs.a2_at(coeffs.q_total)
+    """The two weights a pair can carry: (a00, a(2)_q) with q = q1+q2."""
+    return _WEIGHTS[pair]
 
 
 def _orbital_elements(

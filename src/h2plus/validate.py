@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .angular import HalfInt
 from .datafiles import DataSet, default_data_dir
 from .hyperfine import RoVibLevel
-from .twophoton import PolarizationPair, tensor_coefficients
+from .twophoton import PolarizationPair, polarization_weights
 
 __all__ = [
     "CheckResult",
@@ -209,14 +209,8 @@ def _check_tensor(_active: DataSet, _bundled: DataSet) -> CheckResult:
     worst = 0.0
     details = []
     for token, (a2_expected, a00_expected) in _EXPECTED_TENSOR.items():
-        pair = PolarizationPair.from_token(token)
-        coeffs = tensor_coefficients(pair)
-        dev = max(
-            abs(coeffs.a2_at(pair.q_total) - a2_expected),
-            abs(coeffs.a00 - a00_expected),
-        )
-        stray = sum(abs(coeffs.a2_at(q)) for q in range(-2, 3) if q != pair.q_total)
-        dev = max(dev, stray)
+        a00, a2 = polarization_weights(PolarizationPair.from_token(token))
+        dev = max(abs(a2 - a2_expected), abs(a00 - a00_expected))
         worst = max(worst, dev)
         if dev > TENSOR_TOLERANCE:
             details.append(f"{token}: deviation {dev:.2e}")

@@ -75,6 +75,6 @@ def build_hfs_matrix(L: int, c: HyperfineCoefficients) -> np.ndarray:
 
 
 def coefficient_array(c: HyperfineCoefficients) -> np.ndarray:
-    """(b_F, c_e, c_I, d_1, d_2), the order `HyperfineCoefficients.from_array`
-    reads."""
+    """(b_F, c_e, c_I, d_1, d_2), the order of the `HyperfineCoefficients`
+    fields."""
     return np.array([c.b_f, c.c_e, c.c_i, c.d1, c.d2])

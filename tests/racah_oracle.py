@@ -1,7 +1,8 @@
 """The Racah sums for the 3j and 6j symbols in exact `Fraction` arithmetic,
-term by term, the oracle that the package's integer sums over a common
-denominator are checked against for equality.  Arguments are twice the
-quantum numbers, as in `h2plus.angular._three_j`/`_six_j`."""
+term by term.  The 6j sum is the oracle that the package's integer sum is
+checked against for equality; the 3j sum is the one 3j symbol of the tests
+(see `sublevel_oracle`).  Arguments are twice the quantum numbers, as in
+`h2plus.angular._six_j`."""
 
 import math
 from fractions import Fraction

@@ -1,21 +1,37 @@
 """Magnetic-sublevel quantities the package does not compute, the oracles
-that its sublevel-averaged path is checked against: the 3j symbol for given
-projections, the two-photon matrix element between two magnetic sublevels,
-and the reduced orbital elements assembled from the three sums over
-intermediate states."""
+that its sublevel-averaged path is checked against: the 3j symbol and the
+Clebsch-Gordan coefficient for given projections, the two-photon matrix
+element between two magnetic sublevels, and the reduced orbital elements
+assembled from the three sums over intermediate states.  The 3j symbol is
+the term-by-term `Fraction` sum of `racah_oracle`, so nothing here shares
+angular code with the package beyond `HalfInt`."""
 
 import math
 from typing import NamedTuple
 
-from h2plus.angular import HalfInt, HalfIntLike, _check_pair, _three_j, clebsch_gordan
+from h2plus.angular import HalfInt, HalfIntLike
 from h2plus.hyperfine import HyperfineEigenstate, RoVibLevel
 from h2plus.twophoton import (
     OrbitalReducedElements,
     PolarizationPair,
     SelectionRuleError,
     hyperfine_reduced_q,
-    tensor_coefficients,
 )
+from racah_oracle import three_j
+
+
+def _twice_pairs(*js_and_ms: HalfIntLike) -> list[int]:
+    """2j, 2m of each (j, m) pair in the arguments, a ValueError for a
+    negative magnitude or a j/m parity mismatch."""
+    twice = [HalfInt.of(x).twice for x in js_and_ms]
+    for tj, tm in zip(twice[::2], twice[1::2]):
+        if tj < 0:
+            raise ValueError(f"magnitude j must be non-negative, got {tj}/2")
+        if (tj + tm) % 2:
+            raise ValueError(
+                f"projection m={HalfInt(tm)} and j={HalfInt(tj)} differ by a non-integer"
+            )
+    return twice
 
 
 def wigner3j(
@@ -31,11 +47,30 @@ def wigner3j(
     Returns exactly 0.0 when the triangle rule or m1+m2+m3 = 0 fails.
     Raises ValueError for a negative magnitude or a j/m parity mismatch.
     """
-    tj = tuple(HalfInt.of(j).twice for j in (j1, j2, j3))
-    tm = tuple(HalfInt.of(m).twice for m in (m1, m2, m3))
-    for a, b in zip(tj, tm):
-        _check_pair(a, b)
-    return _three_j(tj[0], tj[1], tj[2], tm[0], tm[1], tm[2])
+    tj1, tm1, tj2, tm2, tj3, tm3 = _twice_pairs(j1, m1, j2, m2, j3, m3)
+    return three_j(tj1, tj2, tj3, tm1, tm2, tm3)
+
+
+def clebsch_gordan(
+    j1: HalfIntLike,
+    m1: HalfIntLike,
+    j2: HalfIntLike,
+    m2: HalfIntLike,
+    j: HalfIntLike,
+    m: HalfIntLike,
+) -> float:
+    """Clebsch-Gordan coefficient <j1 m1 j2 m2 | j m>
+    = (-1)^(j1-j2+m) sqrt(2j+1) 3j(j1, j2, j; m1, m2, -m), zero unless
+    m = m1 + m2."""
+    tj1, tm1, tj2, tm2, tj, tm = _twice_pairs(j1, m1, j2, m2, j, m)
+    sign = -1 if ((tj1 - tj2 + tm) // 2) % 2 else 1
+    return sign * math.sqrt(tj + 1.0) * three_j(tj1, tj2, tj, tm1, tm2, -tm)
+
+
+def polarization_weights(pair: PolarizationPair) -> tuple[float, float]:
+    """(a00, a(2)_q) = (<1 q1 1 q2 | 0 0>, <1 q1 1 q2 | 2 q>), q = q1+q2."""
+    a00 = clebsch_gordan(1, pair.q1, 1, pair.q2, 0, 0)
+    return a00, clebsch_gordan(1, pair.q1, 1, pair.q2, 2, pair.q1 + pair.q2)
 
 
 def polarized_matrix_element(
@@ -56,12 +91,11 @@ def polarized_matrix_element(
     m_upper = HalfInt.of(m_upper)
     if abs(m_lower.twice) > lower.j.twice or abs(m_upper.twice) > upper.j.twice:
         raise ValueError("projection exceeds its angular momentum")
-    coeffs = tensor_coefficients(pair)
-    q = coeffs.q_total
+    q = pair.q1 + pair.q2
     if m_lower.twice != m_upper.twice + 2 * q:
         return 0.0
     total = 0.0
-    for k, amplitude in ((0, coeffs.a00), (2, coeffs.a2_at(q))):
+    for k, amplitude in zip((0, 2), polarization_weights(pair)):
         if amplitude == 0.0:
             continue
         geometry = clebsch_gordan(upper.j, m_upper, k, q, lower.j, m_lower)

@@ -34,18 +34,13 @@ from h2plus.spectrum import two_photon_spectrum
 from h2plus.twophoton import (
     PolarizationPair,
     averaged_sq_matrix_element,
-    tensor_coefficients,
+    polarization_weights,
 )
 from h2plus.validate import intensity_within_tolerance
+from common import PI_PI, STANDARD
 from matrix_oracle import allowed_spin_states, build_hfs_matrix
 from spin_oracle import projections
 from sublevel_oracle import polarized_matrix_element, wigner3j
-
-PI_PI = PolarizationPair.from_token("pipi")
-SP_SP = PolarizationPair.from_token("spsp")
-SP_SM = PolarizationPair.from_token("spsm")
-STANDARD = (PI_PI, SP_SP, SP_SM)
-
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
@@ -111,25 +106,20 @@ def test_criterion_2_odd_level_structure(reference_levels_odd):
 
 def test_criterion_3_tensor_coefficients():
     expected = {
-        ("smsm"): (-2, 1.0, 0.0),
-        ("smpi"): (-1, math.sqrt(2) / 2, 0.0),
-        ("smsp"): (0, math.sqrt(6) / 6, math.sqrt(3) / 3),
-        ("pism"): (-1, math.sqrt(2) / 2, 0.0),
-        ("pipi"): (0, math.sqrt(2 / 3), -math.sqrt(3) / 3),
-        ("pisp"): (1, math.sqrt(2) / 2, 0.0),
-        ("spsm"): (0, math.sqrt(6) / 6, math.sqrt(3) / 3),
-        ("sppi"): (1, math.sqrt(2) / 2, 0.0),
-        ("spsp"): (2, 1.0, 0.0),
+        ("smsm"): (1.0, 0.0),
+        ("smpi"): (math.sqrt(2) / 2, 0.0),
+        ("smsp"): (math.sqrt(6) / 6, math.sqrt(3) / 3),
+        ("pism"): (math.sqrt(2) / 2, 0.0),
+        ("pipi"): (math.sqrt(2 / 3), -math.sqrt(3) / 3),
+        ("pisp"): (math.sqrt(2) / 2, 0.0),
+        ("spsm"): (math.sqrt(6) / 6, math.sqrt(3) / 3),
+        ("sppi"): (math.sqrt(2) / 2, 0.0),
+        ("spsp"): (1.0, 0.0),
     }
     worst = 0.0
-    for token, (q, a2_exp, a00_exp) in expected.items():
-        coeffs = tensor_coefficients(PolarizationPair.from_token(token))
-        worst = max(
-            worst,
-            abs(coeffs.a2_at(q) - a2_exp),
-            abs(coeffs.a00 - a00_exp),
-            max(abs(coeffs.a2_at(qq)) for qq in range(-2, 3) if qq != q),
-        )
+    for token, (a2_exp, a00_exp) in expected.items():
+        a00, a2 = polarization_weights(PolarizationPair.from_token(token))
+        worst = max(worst, abs(a2 - a2_exp), abs(a00 - a00_exp))
     report(
         3,
         "polarization tensor table",
@@ -333,8 +323,8 @@ def test_criterion_7_property_suites(coefficients):
         for q2 in (-1, 0, 1):
             pair = PolarizationPair(q1, q2)
             expected = 1.0 if q1 == q2 else 0.5
-            coeffs = tensor_coefficients(pair)
-            norm_sq = sum(a * a for a in coeffs.a2) + coeffs.a00 * coeffs.a00
+            a00, a2 = polarization_weights(pair)
+            norm_sq = a00 * a00 + a2 * a2
             norm_dev = max(norm_dev, abs(norm_sq - expected))
 
     # eigen-residuals and mixing orthonormality for every shipped odd level

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from h2plus.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VALIDATION, main
 from h2plus.datafiles import L_MAX, default_data_dir
 from h2plus.validate import run_checks
+from common import overflow_l2_line_shifts
 
 
 def run(capsys, *argv):
@@ -270,13 +271,6 @@ def _odd_label(key, value):
     return lambda p: p["levels"][0]["states"][0].update({key: value})
 
 
-def _overflow_l2_line_shifts(payload):
-    """Finite c_e whose (0,2)->(1,2) line shifts exceed the float range."""
-    for record in payload["coefficients"]:
-        if record["L"] == 2:
-            record["c_e"] = 1e308 if record["v"] else -1e308
-
-
 class TestMalformedData:
     @pytest.mark.parametrize(
         "name,corrupt,argv",
@@ -394,7 +388,7 @@ class TestMalformedData:
              ["levels", "--v", "0", "--L", "1"], "(v=0, L=1)"),
             ("hyperfine_coefficients.json", lambda p: p["coefficients"][1].update(c_I=1.7e308),
              ["spectrum", "--lower", "0,1", "--upper", "1,1", "--format", "csv"], "(v=0, L=1)"),
-            ("hyperfine_coefficients.json", _overflow_l2_line_shifts,
+            ("hyperfine_coefficients.json", overflow_l2_line_shifts,
              ["spectrum", "--lower", "0,2", "--upper", "1,2"], "(0,2)->(1,2)"),
         ],
         ids=["orbital-spectrum", "orbital-validate", "coefficients-levels",

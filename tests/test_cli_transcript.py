@@ -25,6 +25,7 @@ import pytest
 
 from h2plus.cli import main
 from h2plus.datafiles import default_data_dir
+from common import overflow_l2_line_shifts
 
 TRANSCRIPT_PATH = Path(__file__).parent / "golden" / "cli_transcript.json"
 TMP = "<TMP>"
@@ -55,12 +56,6 @@ def _scale_c_e(payload):
     for record in payload["coefficients"]:
         if (record["v"], record["L"]) == (0, 1):
             record["c_e"] *= 1.02
-
-
-def _overflow_l2_line_shifts(payload):
-    for record in payload["coefficients"]:
-        if record["L"] == 2:
-            record["c_e"] = 1e308 if record["v"] else -1e308
 
 
 def _keep_four_l3_lines(payload):
@@ -153,7 +148,7 @@ CASES = [
     ("data-coefficient-overflow", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
      _edit_json(COEFFICIENTS, lambda p: p["coefficients"][1].update(c_I=1.7e308))),
     ("data-line-shift-overflow", [*_spectrum(2), "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, _overflow_l2_line_shifts)),
+     _edit_json(COEFFICIENTS, overflow_l2_line_shifts)),
     ("data-orbital-string", [*_spectrum(0), "--data-dir", DATA],
      _edit_json(ORBITAL, lambda p: p["elements"][0].update(Q0="abc"))),
     ("data-orbital-selection-rule", [*_spectrum(0), "--data-dir", DATA],

@@ -19,13 +19,8 @@ from h2plus.spectrum import (
     spectrum_to_json,
     two_photon_spectrum,
 )
-from h2plus.twophoton import PolarizationPair
 from h2plus.validate import intensity_within_tolerance
-
-PI_PI = PolarizationPair.from_token("pipi")
-SP_SP = PolarizationPair.from_token("spsp")
-SP_SM = PolarizationPair.from_token("spsm")
-STANDARD = (PI_PI, SP_SP, SP_SM)
+from common import PI_PI, SP_SM, SP_SP, STANDARD
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,7 @@ def _sublevel_average(lower, upper, pol, orb):
     """(1/(2J+1)) sum over M, M' of |<gJM|T(q1,q2)|eJ'M'>|^2, with M = M' + q."""
     total = 0.0
     for m_upper in projections(upper.j):
-        m_lower = HalfInt(m_upper.twice + 2 * pol.q_total)
+        m_lower = HalfInt(m_upper.twice + 2 * (pol.q1 + pol.q2))
         if abs(m_lower.twice) <= lower.j.twice:
             total += polarized_matrix_element(lower, m_lower, upper, m_upper, pol, orb) ** 2
     return total / (lower.j.twice + 1)

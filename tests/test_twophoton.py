@@ -22,9 +22,9 @@ from h2plus.twophoton import (
     averaged_sq_matrix_element,
     hyperfine_reduced_q,
     polarization_weights,
-    tensor_coefficients,
 )
 from spin_oracle import minus_one_pow, projections
+import sublevel_oracle
 from sublevel_oracle import (
     IntermediateSums,
     polarized_matrix_element,
@@ -116,36 +116,33 @@ class TestTensorCoefficients:
 
     @pytest.mark.parametrize("token", sorted(EXPECTED))
     def test_exact_entries(self, token):
-        pair = PolarizationPair.from_token(token)
-        coeffs = tensor_coefficients(pair)
+        a00, a2 = polarization_weights(PolarizationPair.from_token(token))
         a2_expected, a00_expected = self.EXPECTED[token]
-        assert coeffs.a2_at(pair.q_total) == pytest.approx(a2_expected, abs=1e-14)
-        assert coeffs.a00 == pytest.approx(a00_expected, abs=1e-14)
+        assert a2 == pytest.approx(a2_expected, abs=1e-14)
+        assert a00 == pytest.approx(a00_expected, abs=1e-14)
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.token)
+    def test_table_equals_oracle_cg(self, pair):
+        assert polarization_weights(pair) == sublevel_oracle.polarization_weights(pair)
 
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.token)
     def test_single_rank2_component(self, pair):
-        coeffs = tensor_coefficients(pair)
-        for q in range(-2, 3):
-            if q != pair.q_total:
-                assert coeffs.a2_at(q) == 0.0
-        if pair.q_total != 0:
-            assert coeffs.a00 == 0.0
+        if pair.q1 + pair.q2 != 0:
+            assert polarization_weights(pair)[0] == 0.0
 
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.token)
     def test_normalization(self, pair):
         expected = 1.0 if pair.q1 == pair.q2 else 0.5
-        c = tensor_coefficients(pair)
-        assert sum(a * a for a in c.a2) + c.a00 * c.a00 == pytest.approx(expected, abs=1e-14)
+        a00, a2 = polarization_weights(pair)
+        assert a00 * a00 + a2 * a2 == pytest.approx(expected, abs=1e-14)
 
     def test_scalar_part_absent_for_circular_pairs(self):
-        assert tensor_coefficients(SIGMA_PLUS_SIGMA_PLUS).a00 == 0.0
-        assert tensor_coefficients(PolarizationPair(-1, -1)).a00 == 0.0
+        assert polarization_weights(SIGMA_PLUS_SIGMA_PLUS)[0] == 0.0
+        assert polarization_weights(PolarizationPair(-1, -1))[0] == 0.0
 
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.token)
     def test_weights_are_computed_once_per_pair(self, pair):
-        coeffs = tensor_coefficients(pair)
         weights = polarization_weights(pair)
-        assert weights == (coeffs.a00, coeffs.a2_at(pair.q_total))
         assert polarization_weights(PolarizationPair(pair.q1, pair.q2)) is weights
 
 
