@@ -160,7 +160,9 @@ def wigner6j(
     """Wigner 6j symbol {j1 j2 j3 / j4 j5 j6}.
 
     Returns exactly 0.0 when any of the four triads (j1 j2 j3), (j1 j5 j6),
-    (j4 j2 j6), (j4 j5 j3) violates the triangle rule.
+    (j4 j2 j6), (j4 j5 j3) violates the triangle rule.  The cost of the
+    exact Racah sum grows steeply with the j; `RoVibLevel` bounds the L of
+    the line lists by `L_MAX`, and this general symbol takes any j.
     """
     tj = tuple(HalfInt.of(j).twice for j in (j1, j2, j3, j4, j5, j6))
     for i, a in enumerate(tj, start=1):

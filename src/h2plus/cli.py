@@ -48,12 +48,19 @@ class _Parser(argparse.ArgumentParser):
 def _parse_level(text: str) -> tuple[int, int]:
     try:
         v_str, l_str = text.split(",")
-        v, L = int(v_str), int(l_str)
+        return int(v_str), int(l_str)
     except ValueError:
         raise _UsageError(f"level must be 'v,L' with integers, got {text!r}") from None
-    if v < 0 or L < 0:
-        raise _UsageError(f"v and L must be non-negative, got {text!r}")
-    return v, L
+
+
+def _level(v: int, L: int):
+    """RoVibLevel(v, L), with a level it rejects a usage error."""
+    from .hyperfine import RoVibLevel
+
+    try:
+        return RoVibLevel(v, L)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _parse_pols(text: str) -> tuple:
@@ -117,12 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_levels(args) -> int:
     from .datafiles import DataSet
-    from .hyperfine import RoVibLevel
-    from .spectrum import format_shift
+    from .spectrum import SHIFT_DECIMALS, format_shift
 
-    if args.v < 0 or args.L < 0:
-        raise _UsageError(f"v and L must be non-negative, got v={args.v}, L={args.L}")
-    solution = DataSet(args.data_dir).solve(RoVibLevel(args.v, args.L))
+    data = DataSet(args.data_dir)
+    data.coefficients  # read first: a data error comes before a usage error
+    solution = data.solve(_level(args.v, args.L))
     if args.format == "json":
         payload = {
             "v": args.v,
@@ -133,7 +139,7 @@ def cmd_levels(args) -> int:
                 {
                     "F_tilde": str(s.f_tilde),
                     "J": str(s.j),
-                    "shift_MHz": round(s.shift_mhz, 4),
+                    "shift_MHz": round(s.shift_mhz, SHIFT_DECIMALS),
                     "C1": round(s.c1, 6),
                     "C3": round(s.c3, 6),
                 }
@@ -160,15 +166,14 @@ def cmd_levels(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .datafiles import DataSet
-    from .hyperfine import RoVibLevel
     from .spectrum import format_intensity, format_shift, spectrum_to_csv, spectrum_to_json
 
     v_lo, l_lo = _parse_level(args.lower)
     v_up, l_up = _parse_level(args.upper)
     pols = _parse_pols(args.pol)
-    lower, upper = RoVibLevel(v_lo, l_lo), RoVibLevel(v_up, l_up)
     data = DataSet(args.data_dir)
     data.coefficients  # read first: a missing directory names this file
+    lower, upper = _level(v_lo, l_lo), _level(v_up, l_up)
     data.elements(lower, upper)  # then the orbital file, before the centers
     center = data.center(lower, upper)
     if args.absolute and center is None:
@@ -207,10 +212,6 @@ def cmd_rate(args) -> int:
         transverse_field_decomposition,
     )
 
-    if args.power < 0 or args.waist <= 0 or args.linewidth <= 0 or args.qsq < 0:
-        raise _UsageError("power/qsq must be >= 0 and waist/linewidth > 0")
-    if not math.isfinite(args.qsq):
-        raise _UsageError(f"qsq must be finite, got {args.qsq}")
     gamma_f = 2.0 * math.pi * args.linewidth
     try:
         intensity = beam_axis_intensity(LaserParams(args.power, args.waist, gamma_f))

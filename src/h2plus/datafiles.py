@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 from . import DataError
 from .angular import HalfInt, _label
 from .hyperfine import (
+    L_MAX,
     HyperfineCoefficients,
     HyperfineEigenstate,
     HyperfineSolution,
@@ -54,11 +55,6 @@ __all__ = [
 COEFFICIENTS_FILE = "hyperfine_coefficients.json"
 ORBITAL_FILE = "orbital_reduced_elements.json"
 CENTERS_FILE = "center_frequencies.json"
-
-# The largest rotational quantum number a data file may name.  The cost of
-# a 6j symbol grows faster than L^2 (a spectrum at L = 20,001 runs for many
-# seconds), so a level far above any bound level of H2+ is rejected on load.
-L_MAX = 100
 
 
 def default_data_dir() -> Path:
@@ -132,21 +128,21 @@ def _transition(lower: RoVibLevel, upper: RoVibLevel) -> str:
     return f"({lower.v},{lower.L})->({upper.v},{upper.L})"
 
 
-def _read_l(record: dict, path: Path, key: str = "L") -> int:
-    """record[key] as a rotational quantum number, an integer in 0..L_MAX;
-    a ValueError outside it, for the caller's `_checked`.  Every L of every
-    data file is read here."""
-    L = _require(record, key, path, _integer)
+def _read_l(record: dict, path: Path) -> int:
+    """record["L"] of a center-frequency record, an integer in 0..L_MAX as a
+    level's L is; a ValueError outside it, for the caller's `_checked`."""
+    L = _require(record, "L", path, _integer)
     if L < 0:
-        raise ValueError(f"{key}={L} is negative")
+        raise ValueError(f"L={L} is negative")
     if L > L_MAX:
-        raise ValueError(f"{key}={L} exceeds L_MAX={L_MAX}")
+        raise ValueError(f"L={L} exceeds L_MAX={L_MAX}")
     return L
 
 
 def _read_level(record: dict, path: Path, v_key: str = "v", l_key: str = "L") -> RoVibLevel:
+    """The level record[v_key], record[l_key]; `RoVibLevel` checks it."""
     with _checked(path, record):
-        return RoVibLevel(_require(record, v_key, path, _integer), _read_l(record, path, l_key))
+        return RoVibLevel(_require(record, v_key, path), _require(record, l_key, path))
 
 
 class CoefficientRecord(NamedTuple):

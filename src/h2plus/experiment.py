@@ -69,7 +69,8 @@ class LaserParams(NamedTuple("LaserParams", [
 
 class CavityParams(NamedTuple("CavityParams", [("reflectivity", float), ("losses", float)])):
     """Fabry-Perot cavity with two identical mirrors of reflectivity R and
-    fractional losses P; the mirror transmission is T = 1 - R - P."""
+    fractional losses P; the mirror transmission T = 1 - R - P must be
+    positive, as both cavity figures divide by it or take its log."""
 
     __slots__ = ()
 
@@ -79,8 +80,8 @@ class CavityParams(NamedTuple("CavityParams", [("reflectivity", float), ("losses
             raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
         if not 0.0 <= losses <= 1.0:
             raise ValueError(f"losses must lie in [0, 1], got {losses}")
-        if self.transmission < 0.0:
-            raise ValueError("R + P exceed 1: negative transmission")
+        if self.transmission <= 0.0:
+            raise ValueError(f"R + P must be below 1, got {reflectivity + losses}")
         return self
 
     @property
@@ -118,8 +119,10 @@ def rate_at_resonance(intensity_w_m2: float, gamma_f_rad_s: float, q_sq: float) 
     """
     if gamma_f_rad_s <= 0.0:
         raise ValueError("instrumental width must be positive (the rate diverges)")
-    if intensity_w_m2 < 0.0 or q_sq < 0.0:
-        raise ValueError("intensity and squared matrix element must be non-negative")
+    if intensity_w_m2 < 0.0:
+        raise ValueError("intensity must be non-negative")
+    if not 0.0 <= q_sq < math.inf:
+        raise ValueError(f"squared matrix element must be finite and non-negative, got {q_sq}")
     return _finite_result(
         "rate",
         lambda: RATE_PREFACTOR_M4_PER_J2 * 4.0 / gamma_f_rad_s * intensity_w_m2**2 * q_sq,
@@ -136,10 +139,7 @@ def transverse_field_decomposition(intensity_w_m2: float) -> tuple[float, float,
 
 def cavity_transmission(cavity: CavityParams) -> float:
     """Resonant transmission of the cavity: 1 / (1 + P/(1-R-P))^2."""
-    net = cavity.transmission
-    if net <= 0.0:
-        raise ValueError("mirror transmission must be positive at resonance")
-    return 1.0 / (1.0 + cavity.losses / net) ** 2
+    return 1.0 / (1.0 + cavity.losses / cavity.transmission) ** 2
 
 
 def cavity_isolation_db(cavity: CavityParams) -> float:
@@ -147,7 +147,4 @@ def cavity_isolation_db(cavity: CavityParams) -> float:
 
         -10 log10[(1-R-P)^2 / (1+R)^2]
     """
-    net = cavity.transmission
-    if net <= 0.0:
-        raise ValueError("mirror transmission must be positive off resonance")
-    return -10.0 * math.log10(net**2 / (1.0 + cavity.reflectivity) ** 2)
+    return -10.0 * math.log10(cavity.transmission**2 / (1.0 + cavity.reflectivity) ** 2)

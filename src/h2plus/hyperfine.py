@@ -28,6 +28,7 @@ __all__ = [
     "HyperfineSolution",
     "FitError",
     "FitResult",
+    "L_MAX",
     "hfs_matrix_entries",
     "diagonalize_even",
     "diagonalize_odd",
@@ -43,19 +44,29 @@ F_THREE_HALF = HalfInt(3)
 # treated as pure.
 PURE_STATE_THRESHOLD = 1e-12
 
+# The largest rotational quantum number of a level.  The cost of a 6j symbol
+# grows faster than L^2 (a spectrum at L = 20,001 runs for many seconds), so
+# a level far above any bound level of H2+ is rejected where it is built.
+L_MAX = 100
+
 
 class FitError(RuntimeError):
     """Coefficient fit did not converge or exceeded its residual budget."""
 
 
 class RoVibLevel(NamedTuple("RoVibLevel", [("v", int), ("L", int)])):
-    """A ro-vibrational level, identified by (v, L)."""
+    """A ro-vibrational level (v, L): integers, not floats or bools, with
+    v >= 0 and 0 <= L <= L_MAX.  This is the one check of what a level is."""
 
     __slots__ = ()
 
     def __new__(cls, v: int, L: int) -> "RoVibLevel":
+        if type(v) is not int or type(L) is not int:
+            raise TypeError(f"v and L must be integers, got ({v!r}, {L!r})")
         if v < 0 or L < 0:
             raise ValueError(f"v and L must be non-negative, got ({v}, {L})")
+        if L > L_MAX:
+            raise ValueError(f"L={L} exceeds L_MAX={L_MAX}")
         return super().__new__(cls, v, L)
 
     @property
@@ -159,9 +170,9 @@ def diagonalize_even(L: int, c_e: float, v: int = 0) -> HyperfineSolution:
     Shifts are +L/2 * c_e for J = L+1/2 and -(L+1)/2 * c_e for J = L-1/2
     (the latter state does not exist at L=0).  All states are pure F=1/2.
     """
+    level = RoVibLevel(v, L)
     if L % 2:
         raise ValueError(f"even L required, got {L}")
-    level = RoVibLevel(v, L)
     states = [
         HyperfineEigenstate(level, F_HALF, HalfInt(2 * L + 1), L / 2 * c_e, 1.0, 0.0)
     ]
@@ -213,8 +224,6 @@ def diagonalize_odd(L: int, c: HyperfineCoefficients, v: int = 0) -> HyperfineSo
     The J = L +/- 3/2 states are pure F=3/2 with shifts A and K; each
     J = L +/- 1/2 pair mixes F=1/2 and F=3/2 and is solved in closed form.
     """
-    if L % 2 == 0:
-        raise ValueError(f"odd L required, got {L}")
     level = RoVibLevel(v, L)
     e = hfs_matrix_entries(L, c)
     tl = 2 * L

@@ -52,19 +52,19 @@ __all__ = [
 # intensities 4 significant figures.
 SHIFT_DECIMALS = 4
 INTENSITY_SIGNIFICANT_DIGITS = 4
-# The same conversions as `%` specifiers, for the writers' row templates,
-# and the 'g' conversion that writes a rounded intensity for JSON.
+# The same as `%` conversions, for the formatters and the writers' row
+# templates, and the 'g' conversion that writes a rounded JSON intensity.
 _SHIFT_F = f"%.{SHIFT_DECIMALS}f"
 _INTENSITY_E = f"%.{INTENSITY_SIGNIFICANT_DIGITS - 1}e"
 _INTENSITY_G = f"%.{INTENSITY_SIGNIFICANT_DIGITS}g"
 
 
 def format_shift(value: float) -> str:
-    return f"{value:.{SHIFT_DECIMALS}f}"
+    return _SHIFT_F % value
 
 
 def format_intensity(value: float) -> str:
-    return f"{value:.{INTENSITY_SIGNIFICANT_DIGITS - 1}e}" if value else "0.000e+00"
+    return _INTENSITY_E % (value or 0.0)
 
 
 class TransitionLine(NamedTuple):
@@ -318,12 +318,19 @@ def _json_level(level: RoVibLevel) -> str:
     return _json_object((("L", str(level.L)), ("v", str(level.v))), "  ")
 
 
+def _require_center(result: SpectrumResult, absolute: bool) -> None:
+    """Both writers' policy: absolute output needs a center frequency."""
+    if absolute and result.center_frequency_mhz is None:
+        raise ValueError("no center frequency available for absolute output")
+
+
 def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
     """Render the line list as CSV with locale-independent formatting.
 
     Columns: L, v, F_lower, J_lower, F_upper, J_upper, delta_f_MHz and one
     intensity column per requested polarization pair; an absolute frequency
-    column is appended on request.  No field ever needs quoting.
+    column is appended on request, which is a ValueError when the result
+    has no center frequency.  No field ever needs quoting.
 
     Every row has one layout, so the body is one `%` row template (the
     `L,v` prefix and the conversions of `format_shift` and
@@ -331,12 +338,11 @@ def spectrum_to_csv(result: SpectrumResult, absolute: bool = False) -> str:
     step.  Intensities enter as `value or 0.0`, which writes -0.0 as
     `format_intensity` does, "0.000e+00".
     """
+    _require_center(result, absolute)
+    center = result.center_frequency_mhz
     header = ["L", "v", "F_lower", "J_lower", "F_upper", "J_upper", "delta_f_MHz"]
     header += [f"intensity_{pol.token}" for pol in result.pols]
-    center = result.center_frequency_mhz
     if absolute:
-        if center is None:
-            raise ValueError("no center frequency available for absolute output")
         header.append("absolute_f_MHz")
     row = (
         f"{result.lower.L},{result.lower.v},%s,%s,%s,%s,{_SHIFT_F}"
@@ -361,15 +367,16 @@ def spectrum_to_json(result: SpectrumResult, absolute: bool = False) -> str:
     them.  Shifts are rounded to SHIFT_DECIMALS, intensities to
     INTENSITY_SIGNIFICANT_DIGITS, one per distinct polarization token; a
     line is "dark" when none of these intensities is nonzero.  The absolute
-    frequency appears on request when a center frequency is known.
+    frequency appears on request, which is a ValueError when the result has
+    no center frequency, as in `spectrum_to_csv`.
 
     The line objects are one `%` row template (the keys, and the sorted
     token keys of the intensity object, baked in) repeated once per line
     and filled in one step; each distinct label and intensity is formatted
     once per call.
     """
+    _require_center(result, absolute)
     center = result.center_frequency_mhz
-    absolute = absolute and center is not None
     by_token = sorted({pol.token: pol for pol in result.pols}.items())
     intensity_object = (
         "{" + ",".join(f"\n        {_json_string(token)}: %s" for token, _ in by_token)

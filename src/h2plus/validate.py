@@ -13,7 +13,6 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .angular import HalfInt
 from .datafiles import DataSet, default_data_dir
 from .hyperfine import RoVibLevel
 from .twophoton import PolarizationPair, polarization_weights
@@ -41,27 +40,11 @@ TENSOR_TOLERANCE = 1e-14
 
 # Keys of the bundled reference fixtures.  A check compares the keys it read
 # with these, so a missing, repeated or stray row fails instead of checking less.
+# The (F, J, F', J') keys of a transition's lines are those of the line list
+# the kernel computes for it.
 EVEN_LEVEL_KEYS = ((0, 0), (1, 0), (0, 2), (1, 2))
 ODD_LEVEL_KEYS = ((0, 1), (0, 3), (1, 1), (1, 3))
 TRANSITION_KEYS = tuple(((0, L), (1, L)) for L in (0, 2, 1, 3))
-
-
-def _sublevel_labels(L: int) -> list[tuple[str, str]]:
-    """(F~, J) of every hyperfine sublevel of an L level, as the fixtures
-    spell them: F = 1/2 for even L, F~ = 1/2 and 3/2 for odd L."""
-    f_tildes = [("1/2", (1, -1))]
-    if L % 2:
-        f_tildes.insert(0, ("3/2", (3, 1, -1, -3)))
-    return [(f, str(HalfInt(2 * L + dj))) for f, djs in f_tildes for dj in djs if 2 * L + dj > 0]
-
-
-# (F, J, F', J') of every line of each transition: 1 + 4 + 25 + 36 = 66.
-LINE_KEYS = {
-    (lower, upper): tuple(
-        (*lo, *up) for lo in _sublevel_labels(lower[1]) for up in _sublevel_labels(upper[1])
-    )
-    for lower, upper in TRANSITION_KEYS
-}
 
 STANDARD_POLS = (
     PolarizationPair.from_token("pipi"),
@@ -234,12 +217,6 @@ def _check_spectra(active: DataSet, _bundled: DataSet) -> CheckResult:
     ]
     details = _key_details("transition", TRANSITION_KEYS, keys)
     for key, transition in zip(keys, transitions):
-        if key in LINE_KEYS:
-            details += _key_details(
-                f"{key[0]}->{key[1]} line (F, J, F', J')",
-                LINE_KEYS[key],
-                [_line_key(row) for row in transition["lines"]],
-            )
         lower = RoVibLevel(*key[0])
         upper = RoVibLevel(*key[1])
         result = active.spectrum(lower, upper, STANDARD_POLS)
@@ -247,11 +224,14 @@ def _check_spectra(active: DataSet, _bundled: DataSet) -> CheckResult:
             (str(ln.lower_f), str(ln.lower_j), str(ln.upper_f), str(ln.upper_j)): ln
             for ln in result.lines
         }
+        details += _key_details(
+            f"{key[0]}->{key[1]} line (F, J, F', J')",
+            computed,
+            [_line_key(row) for row in transition["lines"]],
+        )
         for row in transition["lines"]:
-            key = _line_key(row)
-            line = computed.get(key)
-            if line is None:
-                details.append(f"L={lower.L}: no computed line for {key}")
+            line = computed.get(_line_key(row))
+            if line is None:  # an unexpected key, reported above
                 continue
             shift_dev = abs(line.delta_f_mhz - row["delta_f_MHz"])
             worst_shift = max(worst_shift, shift_dev)

@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from h2plus.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VALIDATION, main
-from h2plus.datafiles import L_MAX, default_data_dir
+from h2plus.datafiles import L_MAX
 from h2plus.validate import run_checks
-from common import overflow_l2_line_shifts
+from common import data_copy, overflow_l2_line_shifts
 
 
 def run(capsys, *argv):
@@ -105,14 +105,8 @@ class TestSpectrum:
         assert "no orbital elements" in err
 
     def test_level_without_coefficients_is_data_error(self, capsys, tmp_path):
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
-        path = workdir / "hyperfine_coefficients.json"
-        payload = json.loads(path.read_text())
-        payload["coefficients"] = [
-            r for r in payload["coefficients"] if (r["v"], r["L"]) != (1, 1)
-        ]
-        path.write_text(json.dumps(payload))
+        workdir = data_copy(tmp_path, {"hyperfine_coefficients.json": lambda p: p.update(
+            coefficients=[r for r in p["coefficients"] if (r["v"], r["L"]) != (1, 1)])})
         code, _, err = run(capsys, "spectrum", "--lower", "0,1", "--upper", "1,1",
                            "--data-dir", str(workdir))
         assert code == EXIT_DATA
@@ -412,21 +406,14 @@ class TestMalformedData:
         ids=["non-utf8", "huge-integer", "deep-nesting"],
     )
     def test_unparsable_file_is_data_error(self, capsys, tmp_path, name, content, argv):
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
-        (workdir / name).write_bytes(content)
+        workdir = data_copy(tmp_path, {name: content})
         code, out, err = run(capsys, *argv, "--data-dir", str(workdir))
         assert (code, out) == (EXIT_DATA, "")
         assert err.startswith(f"data error: cannot read {workdir / name}: ")
 
     @staticmethod
     def _assert_data_error(capsys, tmp_path, name, corrupt, argv):
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
-        path = workdir / name
-        payload = json.loads(path.read_text())
-        payload = corrupt(payload) or payload
-        path.write_text(json.dumps(payload))
+        workdir = data_copy(tmp_path, {name: corrupt})
         code, out, err = run(capsys, *argv, "--data-dir", str(workdir))
         assert code == EXIT_DATA
         assert err.startswith("data error: ")
@@ -475,25 +462,19 @@ class TestValidate:
         assert "repeated check" in err
 
     def test_missing_orbital_elements_is_data_error(self, capsys, tmp_path):
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
-        path = workdir / "orbital_reduced_elements.json"
-        payload = json.loads(path.read_text())
-        del payload["elements"][1]
-        path.write_text(json.dumps(payload))
+        workdir = data_copy(tmp_path, {"orbital_reduced_elements.json":
+                                       lambda p: p["elements"].pop(1) and None})
         code, _, err = run(capsys, "validate", "--data-dir", str(workdir))
         assert code == EXIT_DATA
         assert err.startswith("data error: no orbital elements for (0,1)->(1,1); available: ")
 
     def test_corrupted_data_fails(self, capsys, tmp_path):
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
-        path = workdir / "hyperfine_coefficients.json"
-        payload = json.loads(path.read_text())
-        for record in payload["coefficients"]:
-            if (record["v"], record["L"]) == (0, 1):
-                record["c_e"] *= 1.02
-        path.write_text(json.dumps(payload))
+        def scale_c_e(payload):
+            for record in payload["coefficients"]:
+                if (record["v"], record["L"]) == (0, 1):
+                    record["c_e"] *= 1.02
+
+        workdir = data_copy(tmp_path, {"hyperfine_coefficients.json": scale_c_e})
         code, out, _ = run(capsys, "validate", "--data-dir", str(workdir))
         assert code == EXIT_VALIDATION
         assert "FAIL" in out
@@ -515,12 +496,7 @@ class TestValidate:
              "transition", "line", "line-token"],
     )
     def test_truncated_or_mismatched_fixture_fails(self, capsys, tmp_path, name, truncate):
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
-        path = workdir / "reference" / name
-        payload = json.loads(path.read_text())
-        truncate(payload)
-        path.write_text(json.dumps(payload))
+        workdir = data_copy(tmp_path, {f"reference/{name}": lambda p: truncate(p) and None})
         code, out, _ = run(capsys, "validate", "--data-dir", str(workdir))
         assert code == EXIT_VALIDATION
         assert "1 of 6 checks failed" in out
@@ -542,12 +518,8 @@ class TestValidate:
                                         repeated):
         # Overwriting row 0 with a copy of another keeps the row count, so only
         # a check by key sees that row 0 is gone.
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
-        path = workdir / "reference" / name
-        payload = json.loads(path.read_text())
-        rows(payload)[0] = rows(payload)[copied]
-        path.write_text(json.dumps(payload))
+        workdir = data_copy(tmp_path, {f"reference/{name}":
+                                       lambda p: rows(p).__setitem__(0, rows(p)[copied])})
         code, out, _ = run(capsys, "validate", "--data-dir", str(workdir))
         assert code == EXIT_VALIDATION
         assert "1 of 6 checks failed" in out
@@ -556,13 +528,11 @@ class TestValidate:
 
     def test_dropped_details_are_counted(self, capsys, tmp_path):
         # The (0,3)->(1,3) list keeps 4 of its 36 rows: 32 details, 10 printed.
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
-        path = workdir / "reference" / "two_photon_lines.json"
-        payload = json.loads(path.read_text())
-        transition = next(t for t in payload["transitions"] if t["L_lower"] == 3)
-        del transition["lines"][4:]
-        path.write_text(json.dumps(payload))
+        def keep_four_l3_lines(payload):
+            transition = next(t for t in payload["transitions"] if t["L_lower"] == 3)
+            del transition["lines"][4:]
+
+        workdir = data_copy(tmp_path, {"reference/two_photon_lines.json": keep_four_l3_lines})
         (failed,) = run_checks(["spectra"], data_dir=workdir)
         assert len(failed.details) == 32
         code, out, _ = run(capsys, "validate", "--data-dir", str(workdir), "--check", "spectra")
@@ -722,15 +692,16 @@ def test_level_beyond_l_max_exits_at_once(tmp_path):
     error on load that names the coefficient file, not a spectrum whose 6j
     sums run for many seconds."""
     L = 20_001
-    data = tmp_path / "data"
-    shutil.copytree(default_data_dir(), data)
-    coefficients = json.loads((data / "hyperfine_coefficients.json").read_text())
-    odd = next(r for r in coefficients["coefficients"] if (r["v"], r["L"]) == (0, 1))
-    coefficients["coefficients"] += [dict(odd, v=v, L=L) for v in (0, 1)]
-    (data / "hyperfine_coefficients.json").write_text(json.dumps(coefficients))
-    orbital = json.loads((data / "orbital_reduced_elements.json").read_text())
-    orbital["elements"].append({"v": 0, "L": L, "v_prime": 1, "L_prime": L, "Q0": 1.0, "Q2": 1.0})
-    (data / "orbital_reduced_elements.json").write_text(json.dumps(orbital))
+
+    def add_levels(payload):
+        odd = next(r for r in payload["coefficients"] if (r["v"], r["L"]) == (0, 1))
+        payload["coefficients"] += [dict(odd, v=v, L=L) for v in (0, 1)]
+
+    data = data_copy(tmp_path, {
+        "hyperfine_coefficients.json": add_levels,
+        "orbital_reduced_elements.json": lambda p: p["elements"].append(
+            {"v": 0, "L": L, "v_prime": 1, "L_prime": L, "Q0": 1.0, "Q2": 1.0}),
+    })
     proc = subprocess.run(
         [sys.executable, "-m", "h2plus.cli", "spectrum", "--lower", f"0,{L}",
          "--upper", f"1,{L}", "--data-dir", str(data)],

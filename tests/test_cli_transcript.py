@@ -8,24 +8,22 @@ edited copies of the data directory (exit 2) and validation failures
 
 A case whose argv names `<TMP>` runs against a fresh temporary directory
 that holds a copy of the bundled data under `data/`, changed by the case's
-edit function.  `<TMP>` stands for that directory in the recorded argv and
-output, so the file is the same on every machine.  After an intended change
-of output, rewrite it with
+edits (see `common.data_copy`).  `<TMP>` stands for that directory in the
+recorded argv and output, so the file is the same on every machine.  After
+an intended change of output, rewrite it with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
 """
 
 import io
 import json
-import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from h2plus.cli import main
-from h2plus.datafiles import default_data_dir
-from common import overflow_l2_line_shifts
+from common import data_copy, overflow_l2_line_shifts
 
 TRANSCRIPT_PATH = Path(__file__).parent / "golden" / "cli_transcript.json"
 TMP = "<TMP>"
@@ -35,21 +33,6 @@ RATE = ["rate", "--power", "10", "--waist", "1e-3", "--linewidth", "2600", "--qs
 COEFFICIENTS = "hyperfine_coefficients.json"
 ORBITAL = "orbital_reduced_elements.json"
 CENTERS = "center_frequencies.json"
-
-
-def _edit_json(name, change):
-    """An edit that applies `change` to the payload of data/<name>; what
-    `change` returns, if anything, replaces the payload."""
-    def edit(data: Path):
-        path = data / name
-        payload = json.loads(path.read_text())
-        path.write_text(json.dumps(change(payload) or payload))
-    return edit
-
-
-def _write(name, content: bytes):
-    """An edit that replaces data/<name> with `content`."""
-    return lambda data: (data / name).write_bytes(content)
 
 
 def _scale_c_e(payload):
@@ -74,7 +57,7 @@ def _spectrum(L, *extra):
     return ["spectrum", "--lower", f"0,{L}", "--upper", f"1,{L}", *extra]
 
 
-# (name, argv, edit of the data copy or None)
+# (name, argv, edits of the data copy or None)
 CASES = [
     ("version", ["--version"], None),
     *_levels(0, 0), *_levels(0, 1), *_levels(1, 2), *_levels(1, 3),
@@ -99,6 +82,7 @@ CASES = [
     ("usage-levels-missing-L", ["levels", "--v", "0"], None),
     ("usage-levels-non-integer", ["levels", "--v", "x", "--L", "1"], None),
     ("usage-levels-negative", ["levels", "--v", "0", "--L=-1"], None),
+    ("usage-levels-beyond-l-max", ["levels", "--v", "0", "--L", "101"], None),
     ("usage-levels-format", ["levels", "--v", "0", "--L", "1", "--format", "xml"], None),
     ("usage-spectrum-level-syntax", ["spectrum", "--lower", "0:1", "--upper", "1,1"], None),
     ("usage-spectrum-negative-level", ["spectrum", "--lower", "0,-1", "--upper", "1,1"], None),
@@ -124,72 +108,70 @@ CASES = [
     ("data-missing-dir", ["levels", "--v", "0", "--L", "1", "--data-dir", f"{TMP}/nope"], None),
     ("data-missing-dir-validate", ["validate", "--data-dir", f"{TMP}/nope"], None),
     ("data-coefficients-syntax", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _write(COEFFICIENTS, b'{"units": "MHz",')),
+     {COEFFICIENTS: b'{"units": "MHz",'}),
     ("data-coefficients-non-utf8", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _write(COEFFICIENTS, b'{"units": "MHz\xff"}')),
+     {COEFFICIENTS: b'{"units": "MHz\xff"}'}),
     ("data-orbital-huge-integer", [*_spectrum(1), "--data-dir", DATA],
-     _write(ORBITAL, b'{"elements": [' + b"1" * 5000 + b"]}")),
+     {ORBITAL: b'{"elements": [' + b"1" * 5000 + b"]}"}),
     ("data-reference-deep-nesting", ["validate", "--data-dir", DATA],
-     _write("reference/levels_odd.json", b"[" * 100_000 + b"]" * 100_000)),
+     {"reference/levels_odd.json": b"[" * 100_000 + b"]" * 100_000}),
     ("data-coefficients-list", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, lambda p: [p])),
+     {COEFFICIENTS: lambda p: [p]}),
     ("data-coefficients-units", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, lambda p: p.update(units="GHz"))),
+     {COEFFICIENTS: lambda p: p.update(units="GHz")}),
     ("data-coefficients-empty", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, lambda p: p.update(coefficients=[]))),
+     {COEFFICIENTS: lambda p: p.update(coefficients=[])}),
     ("data-coefficient-nan", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, lambda p: p["coefficients"][1].update(b_F=float("nan")))),
+     {COEFFICIENTS: lambda p: p["coefficients"][1].update(b_F=float("nan"))}),
     ("data-coefficient-missing", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, lambda p: p["coefficients"][1].pop("c_e") and None)),
+     {COEFFICIENTS: lambda p: p["coefficients"][1].pop("c_e") and None}),
     ("data-coefficients-repeated", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, lambda p: p["coefficients"].append(p["coefficients"][1]))),
+     {COEFFICIENTS: lambda p: p["coefficients"].append(p["coefficients"][1])}),
     ("data-coefficients-float-level", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, lambda p: p["coefficients"][1].update(L=1.9))),
+     {COEFFICIENTS: lambda p: p["coefficients"][1].update(L=1.9)}),
     ("data-coefficient-overflow", ["levels", "--v", "0", "--L", "1", "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, lambda p: p["coefficients"][1].update(c_I=1.7e308))),
+     {COEFFICIENTS: lambda p: p["coefficients"][1].update(c_I=1.7e308)}),
     ("data-line-shift-overflow", [*_spectrum(2), "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, overflow_l2_line_shifts)),
+     {COEFFICIENTS: overflow_l2_line_shifts}),
     ("data-orbital-string", [*_spectrum(0), "--data-dir", DATA],
-     _edit_json(ORBITAL, lambda p: p["elements"][0].update(Q0="abc"))),
+     {ORBITAL: lambda p: p["elements"][0].update(Q0="abc")}),
     ("data-orbital-selection-rule", [*_spectrum(0), "--data-dir", DATA],
-     _edit_json(ORBITAL, lambda p: p["elements"][0].update(L_prime=1))),
+     {ORBITAL: lambda p: p["elements"][0].update(L_prime=1)}),
     ("data-orbital-intensity-overflow", [*_spectrum(0, "--format", "csv"), "--data-dir", DATA],
-     _edit_json(ORBITAL, lambda p: p["elements"][0].update(Q0=1e200))),
+     {ORBITAL: lambda p: p["elements"][0].update(Q0=1e200)}),
     ("data-orbital-missing", ["validate", "--data-dir", DATA],
-     _edit_json(ORBITAL, lambda p: p["elements"].pop(1) and None)),
+     {ORBITAL: lambda p: p["elements"].pop(1) and None}),
     ("data-center-missing", [*_spectrum(1, "--absolute"), "--data-dir", DATA],
-     _edit_json(CENTERS, lambda p: p["centers"].pop(1) and None)),
+     {CENTERS: lambda p: p["centers"].pop(1) and None}),
     ("data-center-repeated", [*_spectrum(1), "--data-dir", DATA],
-     _edit_json(CENTERS, lambda p: p["centers"].append(p["centers"][1]))),
+     {CENTERS: lambda p: p["centers"].append(p["centers"][1])}),
     ("data-reference-even-string", ["validate", "--data-dir", DATA],
-     _edit_json("reference/levels_even.json",
-                lambda p: p["levels"][2].update(shift_upper_J_MHz="abc"))),
+     {"reference/levels_even.json":
+      lambda p: p["levels"][2].update(shift_upper_J_MHz="abc")}),
     ("data-reference-odd-missing-c1", ["validate", "--data-dir", DATA],
-     _edit_json("reference/levels_odd.json",
-                lambda p: p["levels"][0]["states"][0].pop("C1") and None)),
+     {"reference/levels_odd.json":
+      lambda p: p["levels"][0]["states"][0].pop("C1") and None}),
     ("data-reference-line-label", ["validate", "--data-dir", DATA],
-     _edit_json("reference/two_photon_lines.json",
-                lambda p: p["transitions"][1]["lines"][0].update(J_upper="x/2"))),
+     {"reference/two_photon_lines.json":
+      lambda p: p["transitions"][1]["lines"][0].update(J_upper="x/2")}),
     # validation failures: exit 3
     ("validate-unknown-state", ["validate", "--data-dir", DATA],
-     _edit_json("reference/levels_odd.json",
-                lambda p: p["levels"][0]["states"][0].update(J="9/2"))),
+     {"reference/levels_odd.json":
+      lambda p: p["levels"][0]["states"][0].update(J="9/2")}),
     ("validate-shifted-coefficient", ["validate", "--data-dir", DATA],
-     _edit_json(COEFFICIENTS, _scale_c_e)),
+     {COEFFICIENTS: _scale_c_e}),
     ("validate-truncated-lines", ["validate", "--check", "spectra", "--data-dir", DATA],
-     _edit_json("reference/two_photon_lines.json", _keep_four_l3_lines)),
+     {"reference/two_photon_lines.json": _keep_four_l3_lines}),
     ("validate-repeated-even-level", ["validate", "--data-dir", DATA],
-     _edit_json("reference/levels_even.json",
-                lambda p: p["levels"].__setitem__(0, p["levels"][1]))),
+     {"reference/levels_even.json":
+      lambda p: p["levels"].__setitem__(0, p["levels"][1])}),
 ]
 
 
-def run_case(argv, edit, tmp: Path) -> dict:
+def run_case(argv, edits, tmp: Path) -> dict:
     """Run `main` on argv with `<TMP>` standing for `tmp`, after copying the
-    bundled data to tmp/data and applying `edit` to the copy."""
-    shutil.copytree(default_data_dir(), tmp / "data")
-    if edit is not None:
-        edit(tmp / "data")
+    bundled data to tmp/data with `edits` applied."""
+    data_copy(tmp, edits)
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
@@ -209,17 +191,17 @@ def test_transcript_holds_every_case():
     assert list(transcript) == [name for name, _, _ in CASES]
 
 
-@pytest.mark.parametrize("name,argv,edit", CASES, ids=[case[0] for case in CASES])
-def test_cli_matches_transcript(tmp_path, name, argv, edit):
+@pytest.mark.parametrize("name,argv,edits", CASES, ids=[case[0] for case in CASES])
+def test_cli_matches_transcript(tmp_path, name, argv, edits):
     expected = json.loads(TRANSCRIPT_PATH.read_text())[name]
-    assert run_case(argv, edit, tmp_path) == expected
+    assert run_case(argv, edits, tmp_path) == expected
 
 
 if __name__ == "__main__":
     import tempfile
 
     transcript = {}
-    for name, argv, edit in CASES:
+    for name, argv, edits in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            transcript[name] = run_case(argv, edit, Path(tmp))
+            transcript[name] = run_case(argv, edits, Path(tmp))
     TRANSCRIPT_PATH.write_text(json.dumps(transcript, indent=1) + "\n")

@@ -21,6 +21,7 @@ from h2plus.datafiles import (
     solve_level,
 )
 from h2plus.hyperfine import RoVibLevel
+from common import data_copy
 
 
 class TestResolution:
@@ -106,12 +107,7 @@ class TestRepeatedRecords:
         ids=["coefficients", "orbital", "centers"],
     )
     def test_repeated_record_is_data_error(self, tmp_path, name, key, load, label):
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
-        path = workdir / name
-        payload = json.loads(path.read_text())
-        payload[key].append(dict(payload[key][1]))
-        path.write_text(json.dumps(payload))
+        workdir = data_copy(tmp_path, {name: lambda p: p[key].append(dict(p[key][1]))})
         with pytest.raises(DataError, match=rf"{name}: repeated record for {re.escape(label)}$"):
             load(workdir)
 
@@ -147,14 +143,12 @@ class TestCorruptionDetection:
     def test_perturbed_coefficient_fails_validation(self, tmp_path):
         from h2plus.validate import run_checks
 
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
-        path = workdir / "hyperfine_coefficients.json"
-        payload = json.loads(path.read_text())
-        for record in payload["coefficients"]:
-            if (record["v"], record["L"]) == (0, 1):
-                record["b_F"] += 0.5  # half a MHz of corruption
-        path.write_text(json.dumps(payload))
+        def corrupt(payload):
+            for record in payload["coefficients"]:
+                if (record["v"], record["L"]) == (0, 1):
+                    record["b_F"] += 0.5  # half a MHz of corruption
+
+        workdir = data_copy(tmp_path, {"hyperfine_coefficients.json": corrupt})
         results = {r.name: r for r in run_checks(["odd-levels"], data_dir=workdir)}
         assert not results["odd-levels"].passed
 
@@ -179,8 +173,7 @@ class TestValidateReads:
         return reads
 
     def test_each_file_read_once(self, monkeypatch, tmp_path):
-        workdir = tmp_path / "data"
-        shutil.copytree(default_data_dir(), workdir)
+        workdir = data_copy(tmp_path)
         reads = self._reads(monkeypatch, None, workdir)
         bundled = default_data_dir()
         expected = [

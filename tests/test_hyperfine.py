@@ -19,6 +19,7 @@ from h2plus.hyperfine import (
     FitError,
     HyperfineCoefficients,
     HyperfineSolution,
+    L_MAX,
     PURE_STATE_THRESHOLD,
     RoVibLevel,
     diagonalize_even,
@@ -44,6 +45,11 @@ class TestRoVibLevel:
             RoVibLevel(-1, 0)
         with pytest.raises(ValueError):
             RoVibLevel(0, -2)
+        with pytest.raises(ValueError, match=f"L={L_MAX + 1} exceeds L_MAX={L_MAX}"):
+            RoVibLevel(0, L_MAX + 1)
+        for v, L in ((0.5, 2), (True, 1), (0, 2.0)):
+            with pytest.raises(TypeError):
+                RoVibLevel(v, L)
 
 
 class TestAllowedSpinStates:
@@ -189,6 +195,9 @@ class TestDiagonalizeEven:
     def test_odd_l_rejected(self):
         with pytest.raises(ValueError):
             diagonalize_even(1, 10.0)
+        for L in (L_MAX + 1, L_MAX + 2):  # the level's bound comes first
+            with pytest.raises(ValueError, match="exceeds L_MAX"):
+                diagonalize_even(L, 10.0)
 
 
 class TestDiagonalizeOdd:
@@ -214,6 +223,9 @@ class TestDiagonalizeOdd:
     def test_even_l_rejected(self):
         with pytest.raises(ValueError):
             diagonalize_odd(2, SAMPLE)
+        for L in (L_MAX + 1, L_MAX + 2):  # the level's bound comes first
+            with pytest.raises(ValueError, match="exceeds L_MAX"):
+                diagonalize_odd(L, SAMPLE)
 
     @pytest.mark.parametrize("L", [1, 3])
     def test_eigen_residual(self, L):
